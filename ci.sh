@@ -100,22 +100,30 @@ echo "== conformance (registry-driven cross-engine matrix, quick by default)"
 cargo test -q --release --test conformance
 
 echo "== engine registry enumeration (gaserved --list-backends)"
-# The serving binary must list every expected backend with its
-# capabilities — a registration regression fails here, not at runtime.
+# The serving binary must list exactly the five expected backends with
+# their capabilities — a registration regression fails here, not at
+# runtime. The retired wide bitsim backends must stay gone.
 cargo build -q --release -p ga-serve --bin gaserved
 BACKENDS="$(./target/release/gaserved --list-backends)"
 echo "$BACKENDS"
-[ "$(echo "$BACKENDS" | wc -l)" -ge 7 ] \
-    || { echo "registry lists fewer than 7 backends"; exit 1; }
-for b in behavioral rtl bitsim64 bitsim128 bitsim256 swga rtl32; do
+[ "$(echo "$BACKENDS" | wc -l)" -eq 5 ] \
+    || { echo "registry does not list exactly 5 backends"; exit 1; }
+for b in behavioral rtl bitsim64 swga rtl32; do
     echo "$BACKENDS" | grep -q "^$b " \
         || { echo "backend $b missing from registry"; exit 1; }
+done
+for b in bitsim128 bitsim256; do
+    if echo "$BACKENDS" | grep -q "^$b "; then
+        echo "retired backend $b is still registered"; exit 1
+    fi
 done
 
 echo "== gaserved golden fixture + BENCH_serve.json throughput floors"
 # The serving layer replays the checked-in fixture (16-bit jobs on the
 # narrow engines, width-32 jobs on rtl32, plus five VRC heal jobs —
-# one deliberately unhealable); the output must be
+# one deliberately unhealable — and five lines naming the retired
+# bitsim128/bitsim256 backends, answered as typed parse errors and
+# followed by their bitsim64 twins); the output must be
 # byte-identical to the committed golden (results are deterministic and
 # carry no timing fields). benchcheck then validates the emitted
 # report, requires per-backend throughput counters for every registered
@@ -129,14 +137,19 @@ diff -u tests/fixtures/results16_golden.jsonl "$SMOKE_DIR/results16.jsonl"
     'netlist_cache_hits>=1' 'degraded_jobs<=0'
 
 echo "== serve bench (200-job acceptance batch, pack-path throughput floor)"
-# The wide-lane + cache acceptance gate: the packed bitsim path must
-# clear >=10x the pre-widening 1202.89 jobs/s snapshot, with zero
-# degraded lanes and at least one compiled-netlist cache hit.
+# The pack-path + cache gate. The 200-job batch cycles the five
+# registered backends, so its 40 bitsim64 jobs always plan into exactly
+# 3 packs (one per parameter shape) — pinned from both sides, so a
+# planner change that splits or merges packs fails here. The packed
+# path must clear a conservative 12029 jobs/s floor (measured runs give
+# several times that), with zero degraded lanes and at least one
+# compiled-netlist cache hit.
 cargo build -q --release -p ga-serve --bin serve_bench
 GA_BENCH_OUT="$SMOKE_DIR" ./target/release/serve_bench 2> /dev/null
 ./target/release/benchcheck "$SMOKE_DIR/BENCH_serve.json" \
-    'bitsim_pack_jobs_per_sec>=12029' 'bitsim_packs>=9' \
-    'bitsim_active_lanes>=86' 'netlist_cache_hits>=1' 'degraded_jobs<=0'
+    'bitsim_pack_jobs_per_sec>=12029' 'bitsim_packs>=3' 'bitsim_packs<=3' \
+    'bitsim_active_lanes>=40' 'bitsim_active_lanes<=40' \
+    'netlist_cache_hits>=1' 'degraded_jobs<=0'
 
 echo "== persistent socket front-end (listener + streamed golden + load burst)"
 # Boot the real TCP listener on an ephemeral port with its stdin held

@@ -1,4 +1,4 @@
-//! [`Engine`] adapters for the seven concrete backends.
+//! [`Engine`] adapters for the five concrete backends.
 //!
 //! Each adapter owns the glue between the backend's native API and the
 //! engine-layer contract: spec admission, deadline/watchdog plumbing,
@@ -14,7 +14,7 @@ use ga_fitness::{FemBank, FemSlot, LookupFem};
 use hwsim::{Deadline, SimError};
 use swga::CountingGa;
 
-use crate::pack::{draws_per_run, try_ca_lane_streams_wide, StreamRng};
+use crate::pack::{ca_lane_streams, draws_per_run, try_ca_lane_streams, StreamRng};
 use crate::spec::{
     convergence_generation, BackendKind, Capabilities, Engine, EngineError, Limits, Prepared,
     RunOutcome, RunSpec, TrajPoint, Workload,
@@ -190,36 +190,21 @@ impl Engine for RtlInterpEngine {
     }
 }
 
-/// The compiled wide-lane netlist backend family: the CA-RNG stream
-/// comes from one bit-sliced simulation of the synthesized netlist at
-/// `W` words per net (a pack shares it across up to `64·W` lanes),
-/// then each lane finishes as an ordinary behavioral run over its
-/// [`StreamRng`]. `W ∈ {1, 2, 4}` are registered as the `bitsim64` /
-/// `bitsim128` / `bitsim256` backends; a lane's stream depends only on
-/// its seed, so every width produces bit-identical results.
-pub struct BitSimWideEngine<const W: usize>;
+/// The compiled 64-lane netlist backend: the CA-RNG stream comes from
+/// one bit-sliced simulation of the synthesized netlist (a pack shares
+/// it across up to 64 lanes), then each lane finishes as an ordinary
+/// behavioral run over its [`StreamRng`].
+pub struct BitSim64Engine;
 
-/// The original 64-lane backend (`W = 1`).
-pub type BitSim64Engine = BitSimWideEngine<1>;
-/// The 128-lane backend (two words per net).
-pub type BitSim128Engine = BitSimWideEngine<2>;
-/// The 256-lane backend (four words per net).
-pub type BitSim256Engine = BitSimWideEngine<4>;
-
-impl<const W: usize> Engine for BitSimWideEngine<W> {
+impl Engine for BitSim64Engine {
     fn kind(&self) -> BackendKind {
-        match W {
-            1 => BackendKind::BitSim64,
-            2 => BackendKind::BitSim128,
-            4 => BackendKind::BitSim256,
-            _ => unreachable!("bitsim backends are registered at W ∈ {{1, 2, 4}}"),
-        }
+        BackendKind::BitSim64
     }
 
     fn capabilities(&self) -> Capabilities {
         Capabilities {
             widths: &[16],
-            pack_width: 64 * W,
+            pack_width: 64,
             deadline: true,
             watchdog: true,
             reports_cycles: false,
@@ -242,7 +227,7 @@ impl<const W: usize> Engine for BitSimWideEngine<W> {
         prepared: &[Prepared],
         limits: &Limits,
     ) -> Vec<Result<RunOutcome, EngineError>> {
-        debug_assert!(!prepared.is_empty() && prepared.len() <= 64 * W);
+        debug_assert!(!prepared.is_empty() && prepared.len() <= 64);
         debug_assert!(
             prepared.windows(2).all(|w| {
                 let (a, b) = (w[0].spec().params, w[1].spec().params);
@@ -252,7 +237,7 @@ impl<const W: usize> Engine for BitSimWideEngine<W> {
         );
         let draws = draws_per_run(&prepared[0].spec().params) as usize;
         let seeds: Vec<u16> = prepared.iter().map(|p| p.spec().params.seed).collect();
-        match try_ca_lane_streams_wide::<W>(&seeds, draws, limits.stream_watchdog_steps) {
+        match try_ca_lane_streams(&seeds, draws, limits.stream_watchdog_steps) {
             Ok(streams) => prepared
                 .iter()
                 .zip(streams)
@@ -271,11 +256,10 @@ impl<const W: usize> Engine for BitSimWideEngine<W> {
         // runs epoch × epochs = n_gens generations total) plus one — a
         // snapshot taken after the final generation still records the
         // *next* draw, which is how a stream checkpoint restores into a
-        // register-RNG backend. One lane is one lane at any width, so
-        // the narrow simulator is the cheapest extractor.
+        // register-RNG backend.
         let spec = prepared.spec();
         let draws = draws_per_run(&spec.params) as usize + 1;
-        let mut streams = crate::pack::ca_lane_streams(&[spec.params.seed], draws);
+        let mut streams = ca_lane_streams(&[spec.params.seed], draws);
         let stream = streams.pop().expect("one lane requested");
         Some(stepper16(spec, StreamRng::new(stream)))
     }
@@ -409,7 +393,7 @@ mod tests {
     fn behavioral_and_bitsim_agree_exactly() {
         let s = spec(16, GaParams::new(16, 6, 10, 1, 0x2961));
         let a = run_on(&BehavioralEngine, s).expect("behavioral runs");
-        let b = run_on(&BitSimWideEngine::<1>, s).expect("bitsim runs");
+        let b = run_on(&BitSim64Engine, s).expect("bitsim runs");
         assert_eq!(a, b, "netlist-streamed lane must match the reference RNG");
     }
 
@@ -463,12 +447,7 @@ mod tests {
             },
         };
         let reference = run_on(&BehavioralEngine, s).expect("behavioral heals");
-        for e in [
-            &RtlInterpEngine as &dyn Engine,
-            &BitSimWideEngine::<1>,
-            &BitSimWideEngine::<2>,
-            &BitSimWideEngine::<4>,
-        ] {
+        for e in [&RtlInterpEngine as &dyn Engine, &BitSim64Engine] {
             let r = run_on(e, s).expect("backend heals");
             assert_eq!(
                 (r.best_chrom, r.best_fitness, &r.trajectory),
@@ -509,7 +488,7 @@ mod tests {
         for e in [
             &BehavioralEngine as &dyn Engine,
             &RtlInterpEngine,
-            &BitSimWideEngine::<1>,
+            &BitSim64Engine,
             &SwgaEngine,
         ] {
             let mut s = spec(16, GaParams::new(8, 4, 10, 1, 0xB342));
@@ -534,8 +513,8 @@ mod tests {
             .run(&RtlInterpEngine.prepare(s).expect("admits"), &tight)
             .expect_err("tight watchdog trips");
         assert_eq!(rtl, EngineError::Watchdog { cycles: 10 });
-        let bit = BitSimWideEngine::<1>
-            .run(&BitSimWideEngine::<1>.prepare(s).expect("admits"), &tight)
+        let bit = BitSim64Engine
+            .run(&BitSim64Engine.prepare(s).expect("admits"), &tight)
             .expect_err("tight watchdog trips");
         assert_eq!(bit, EngineError::Watchdog { cycles: 4 });
         assert!(bit.is_infrastructure());
@@ -543,7 +522,7 @@ mod tests {
 
     #[test]
     fn bitsim_pack_lanes_match_solo_runs() {
-        let e = BitSimWideEngine::<1>;
+        let e = BitSim64Engine;
         let params = GaParams::new(8, 3, 10, 1, 0);
         let packed: Vec<Prepared> = [0x1111u16, 0x2222, 0x3333]
             .iter()
@@ -555,39 +534,6 @@ mod tests {
         let pack = e.run_pack(&packed, &Limits::default());
         for (p, r) in packed.iter().zip(&pack) {
             let solo = e.run(p, &Limits::default()).expect("solo runs");
-            assert_eq!(r.as_ref().expect("lane runs"), &solo);
-        }
-    }
-
-    #[test]
-    fn wide_engines_report_their_own_kind_and_pack_width() {
-        assert_eq!(BitSimWideEngine::<1>.kind(), BackendKind::BitSim64);
-        assert_eq!(BitSimWideEngine::<2>.kind(), BackendKind::BitSim128);
-        assert_eq!(BitSimWideEngine::<4>.kind(), BackendKind::BitSim256);
-        assert_eq!(BitSimWideEngine::<1>.capabilities().pack_width, 64);
-        assert_eq!(BitSimWideEngine::<2>.capabilities().pack_width, 128);
-        assert_eq!(BitSimWideEngine::<4>.capabilities().pack_width, 256);
-    }
-
-    #[test]
-    fn wide_pack_lanes_beyond_word_zero_match_solo_bitsim64() {
-        // 70 jobs overflow the first 64-lane word of a 128-lane pack:
-        // lanes 64..70 live in word 1 and must still equal solo 64-lane
-        // runs of the same seed.
-        let narrow = BitSimWideEngine::<1>;
-        let wide = BitSimWideEngine::<2>;
-        let params = GaParams::new(8, 3, 10, 1, 0);
-        let packed: Vec<Prepared> = (0..70u16)
-            .map(|i| {
-                let seed = i.wrapping_mul(0x9E37) ^ 0x2961;
-                wide.prepare(spec(16, GaParams { seed, ..params }))
-                    .expect("admits")
-            })
-            .collect();
-        let pack = wide.run_pack(&packed, &Limits::default());
-        assert_eq!(pack.len(), 70);
-        for (p, r) in packed.iter().zip(&pack) {
-            let solo = narrow.run(p, &Limits::default()).expect("solo runs");
             assert_eq!(r.as_ref().expect("lane runs"), &solo);
         }
     }
@@ -611,7 +557,7 @@ mod tests {
         for e in [
             &BehavioralEngine as &dyn Engine,
             &RtlInterpEngine,
-            &BitSimWideEngine::<1>,
+            &BitSim64Engine,
             &SwgaEngine,
         ] {
             let p = e.prepare(s).expect("admits");

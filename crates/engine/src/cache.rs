@@ -1,48 +1,28 @@
-//! The compiled-netlist cache: validate + topo-sort + compile once per
-//! (design, lane-width) and share the result across every pack.
+//! The compiled-netlist cache: validate + topo-sort + compile the
+//! CA-RNG netlist once and share the result across every pack.
 //!
 //! The serve hot path runs the same synthesized design — the CA-RNG
-//! netlist — for every bitsim pack, at whichever lane width the backend
-//! was asked for. Re-elaborating and re-compiling it per pack would pay
-//! the full validate + Kahn-sort + flatten cost on work that never
-//! changes, so the engine layer keeps one process-wide keyed map
-//! instead: a [`CacheKey`] names the design, the words-per-net lane
-//! width it will be simulated at, and the seed layout (which input bus
-//! carries the per-lane seeds), and the first request under a key
-//! compiles while every later request is a read-locked map hit.
+//! netlist — for every `bitsim64` pack. Re-elaborating and
+//! re-compiling it per pack would pay the full validate + Kahn-sort +
+//! flatten cost on work that never changes, so the engine layer keeps
+//! one process-wide compiled artifact instead: the first request
+//! compiles while every later request is a lock-free hit.
 //!
 //! Hit/miss counters are exposed so the serving layer can report cache
 //! effectiveness per batch (`netlist_cache_hits` / `_misses` in
-//! `BENCH_serve.json`) — a cold-start regression shows up as a miss
-//! count above the number of distinct (design, width) pairs.
+//! `BENCH_serve.json`) — a cold-start regression shows up as more than
+//! one lifetime miss.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
 use ga_synth::CompiledNetlist;
 
-/// What one cache entry is compiled *for*: the design, the lane width
-/// it will simulate at, and the seed-bus layout. Widths share the same
-/// gate-level artifact today (compilation is width-independent), but
-/// keying them separately keeps the entry's identity honest — an entry
-/// answers exactly one backend's question — and gives the hit/miss
-/// counters a per-backend meaning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// Stable design name (e.g. `"ca-rng"`).
-    pub design: &'static str,
-    /// `u64` words per net the simulation will run with (lanes / 64).
-    pub words_per_net: usize,
-    /// Name of the input bus that carries per-lane seeds.
-    pub seed_bus: &'static str,
-}
-
-/// A process-wide keyed map of compiled netlists with hit/miss
-/// accounting. Reads take a shared lock; a miss compiles *outside* any
-/// lock and the losing side of a compile race simply drops its copy.
+/// A process-wide compiled netlist with hit/miss accounting. The first
+/// request compiles; requests racing it wait for that one compile and
+/// count as hits, so the lifetime miss count is at most one.
 pub struct NetlistCache {
-    map: RwLock<HashMap<CacheKey, Arc<CompiledNetlist>>>,
+    compiled: OnceLock<Arc<CompiledNetlist>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -52,30 +32,23 @@ impl NetlistCache {
     /// [`global_cache`]).
     pub fn new() -> Self {
         NetlistCache {
-            map: RwLock::new(HashMap::new()),
+            compiled: OnceLock::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// The entry for `key`, compiling it with `build` on the first
-    /// request. `build` runs without any lock held, so a slow compile
-    /// never blocks hits on other keys; if two threads race the same
-    /// cold key, both compiles run and one artifact wins the insert
-    /// (they are deterministic, so either is correct).
-    pub fn get_or_compile(
-        &self,
-        key: CacheKey,
-        build: impl FnOnce() -> CompiledNetlist,
-    ) -> Arc<CompiledNetlist> {
-        if let Some(hit) = self.map.read().expect("cache lock").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(build());
-        let mut map = self.map.write().expect("cache lock");
-        Arc::clone(map.entry(key).or_insert(built))
+    /// The cached netlist, compiling it with `build` on the first
+    /// request.
+    pub fn get_or_compile(&self, build: impl FnOnce() -> CompiledNetlist) -> Arc<CompiledNetlist> {
+        let mut built = false;
+        let compiled = self.compiled.get_or_init(|| {
+            built = true;
+            Arc::new(build())
+        });
+        let counter = if built { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Arc::clone(compiled)
     }
 
     /// Lifetime `(hits, misses)` counters.
@@ -85,16 +58,6 @@ impl NetlistCache {
             self.misses.load(Ordering::Relaxed),
         )
     }
-
-    /// Number of distinct cached entries.
-    pub fn len(&self) -> usize {
-        self.map.read().expect("cache lock").len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl Default for NetlistCache {
@@ -103,7 +66,8 @@ impl Default for NetlistCache {
     }
 }
 
-/// The process-wide compiled-netlist cache, shared by every backend.
+/// The process-wide compiled-netlist cache the `bitsim64` backend
+/// shares.
 pub fn global_cache() -> &'static NetlistCache {
     static CACHE: OnceLock<NetlistCache> = OnceLock::new();
     CACHE.get_or_init(NetlistCache::new)
@@ -114,14 +78,6 @@ mod tests {
     use super::*;
     use ga_synth::gadesign::elaborate_ca_rng;
 
-    fn key(words: usize) -> CacheKey {
-        CacheKey {
-            design: "ca-rng",
-            words_per_net: words,
-            seed_bus: "seed",
-        }
-    }
-
     fn compile_ca() -> CompiledNetlist {
         CompiledNetlist::compile(&elaborate_ca_rng()).expect("CA-RNG compiles")
     }
@@ -129,22 +85,11 @@ mod tests {
     #[test]
     fn first_request_misses_then_hits() {
         let cache = NetlistCache::new();
-        let a = cache.get_or_compile(key(1), compile_ca);
+        let a = cache.get_or_compile(compile_ca);
         assert_eq!(cache.counters(), (0, 1));
-        let b = cache.get_or_compile(key(1), compile_ca);
+        let b = cache.get_or_compile(compile_ca);
         assert_eq!(cache.counters(), (1, 1));
         assert!(Arc::ptr_eq(&a, &b), "a hit returns the cached artifact");
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn widths_are_distinct_entries() {
-        let cache = NetlistCache::new();
-        let w1 = cache.get_or_compile(key(1), compile_ca);
-        let w4 = cache.get_or_compile(key(4), compile_ca);
-        assert!(!Arc::ptr_eq(&w1, &w4), "per-width identity");
-        assert_eq!(cache.counters(), (0, 2));
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -153,18 +98,18 @@ mod tests {
         // compile done from scratch: same instruction stream, same
         // registers, same bus maps. Debug formatting covers every field.
         let cache = NetlistCache::new();
-        cache.get_or_compile(key(2), compile_ca);
-        let hit = cache.get_or_compile(key(2), compile_ca);
+        cache.get_or_compile(compile_ca);
+        let hit = cache.get_or_compile(compile_ca);
         let cold = compile_ca();
         assert_eq!(format!("{hit:?}"), format!("{cold:?}"));
     }
 
     #[test]
-    fn build_runs_once_per_key() {
+    fn build_runs_once() {
         let cache = NetlistCache::new();
         let mut builds = 0;
         for _ in 0..5 {
-            cache.get_or_compile(key(1), || {
+            cache.get_or_compile(|| {
                 builds += 1;
                 compile_ca()
             });

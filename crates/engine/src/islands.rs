@@ -311,7 +311,7 @@ impl<'a> IslandsEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapters::{BehavioralEngine, BitSimWideEngine, SwgaEngine};
+    use crate::adapters::{BehavioralEngine, BitSim64Engine, SwgaEngine};
     use ga_fitness::TestFunction;
 
     fn spec(params: GaParams) -> RunSpec {
@@ -356,7 +356,7 @@ mod tests {
             .expect("steps")
             .run(spec(params))
             .expect("runs");
-        let bit = IslandsEngine::new(&BitSimWideEngine::<1>, config)
+        let bit = IslandsEngine::new(&BitSim64Engine, config)
             .expect("steps")
             .run(spec(params))
             .expect("runs");
@@ -409,7 +409,7 @@ mod tests {
             epochs: 3,
         };
         let beh = IslandsEngine::new(&BehavioralEngine, config).expect("steps");
-        let bit = IslandsEngine::new(&BitSimWideEngine::<1>, config).expect("steps");
+        let bit = IslandsEngine::new(&BitSim64Engine, config).expect("steps");
         let reference = beh.run(spec(params)).expect("runs");
 
         let mut driver = beh.start(spec(params)).expect("starts");

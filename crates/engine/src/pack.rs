@@ -1,19 +1,18 @@
-//! Job packing for the wide-lane bitsim backends.
+//! Job packing for the 64-lane `bitsim64` backend.
 //!
-//! The compiled netlist engine (`ga_synth::bitsim`) advances 64·W
+//! The compiled netlist engine (`ga_synth::bitsim`) advances 64
 //! independent CA-RNG simulations per pass — but the *GA* around the
 //! RNG is data-dependent (selection scans, fitness lookups), so the
 //! whole GA cannot be bit-sliced. What CAN be shared is the expensive
 //! part the netlist actually models: the RNG stream. Two jobs with the
 //! same population size and generation count consume RNG draws on an
 //! identical, data-independent schedule ([`draws_per_run`]), so up to
-//! 64·W such jobs are packed into **one** lockstep run of the compiled
+//! 64 such jobs are packed into **one** lockstep run of the compiled
 //! CA-RNG netlist — one seed per lane — and each lane's extracted
 //! stream then drives an ordinary behavioral engine via [`StreamRng`].
 //! Because the netlist is gate-level equivalent to `carng::CaRng`
 //! (proven by `crates/synth/tests/rng_equivalence.rs` and the golden
-//! vectors), a packed lane's result is bit-identical to a solo run, at
-//! every lane width.
+//! vectors), a packed lane's result is bit-identical to a solo run.
 //!
 //! Packs smaller than the lane count leave the tail lanes *unseeded*:
 //! they hold the CA's all-zero fixed point, never produce a stream,
@@ -21,18 +20,17 @@
 //! lanes are exactly `seeds.len()`.
 //!
 //! The compiled netlist itself comes from the process-wide
-//! [`crate::cache::NetlistCache`], keyed per lane width, so repeat
-//! packs skip validation, topological sorting, and flattening
-//! entirely.
+//! [`crate::cache::NetlistCache`], so repeat packs skip validation,
+//! topological sorting, and flattening entirely.
 
 use std::sync::Arc;
 
 use carng::{Rng16, SnapshotRng};
 use ga_core::GaParams;
-use ga_synth::bitsim::{BitSimW, CompiledNetlist};
+use ga_synth::bitsim::{BitSim, CompiledNetlist};
 use ga_synth::gadesign::elaborate_ca_rng;
 
-use crate::cache::{global_cache, CacheKey};
+use crate::cache::global_cache;
 
 /// Exact number of 16-bit RNG draws one GA run consumes — the packing
 /// schedule. Per run: `pop` draws seed the initial population; each
@@ -46,18 +44,13 @@ pub fn draws_per_run(p: &GaParams) -> u64 {
     pop + p.n_gens as u64 * (3 * pairs + (pop - 1))
 }
 
-/// The compiled CA-RNG netlist for a `W`-word lane width, from the
-/// process-wide [`NetlistCache`](crate::cache::NetlistCache): compiled
-/// once per width, a cache hit on every later pack.
-fn compiled_ca(words_per_net: usize) -> Arc<CompiledNetlist> {
-    global_cache().get_or_compile(
-        CacheKey {
-            design: "ca-rng",
-            words_per_net,
-            seed_bus: "seed",
-        },
-        || CompiledNetlist::compile(&elaborate_ca_rng()).expect("CA-RNG netlist compiles"),
-    )
+/// The compiled CA-RNG netlist from the process-wide
+/// [`NetlistCache`](crate::cache::NetlistCache): compiled once, a cache
+/// hit on every later pack.
+fn compiled_ca() -> Arc<CompiledNetlist> {
+    global_cache().get_or_compile(|| {
+        CompiledNetlist::compile(&elaborate_ca_rng()).expect("CA-RNG netlist compiles")
+    })
 }
 
 /// Run the compiled CA-RNG netlist with one seed per lane and extract
@@ -80,33 +73,21 @@ pub fn try_ca_lane_streams(
     draws: usize,
     max_steps: u64,
 ) -> Result<Vec<Vec<u16>>, u64> {
-    try_ca_lane_streams_wide::<1>(seeds, draws, max_steps)
-}
-
-/// [`try_ca_lane_streams`] at any lane width: one bit-sliced run of the
-/// `W`-word simulator extracts up to `64·W` complete RNG streams. The
-/// stream a lane produces depends only on its seed, never on `W` — the
-/// conformance suite pins wide lanes against solo 64-lane runs.
-pub fn try_ca_lane_streams_wide<const W: usize>(
-    seeds: &[u16],
-    draws: usize,
-    max_steps: u64,
-) -> Result<Vec<Vec<u16>>, u64> {
     assert!(
-        seeds.len() <= BitSimW::<W>::LANES,
+        seeds.len() <= BitSim::LANES,
         "{} seeds exceed the {} lanes of one pack",
         seeds.len(),
-        BitSimW::<W>::LANES
+        BitSim::LANES
     );
     if (draws as u64).saturating_add(1) > max_steps {
         return Err(max_steps);
     }
-    let cn = compiled_ca(W);
+    let cn = compiled_ca();
     let seed_bus = cn.input_bus("seed").expect("seed bus").to_vec();
     let ctl_bus = cn.input_bus("ctl").expect("ctl bus").to_vec();
     let rn_bus = cn.output_bus("rn").expect("rn bus").to_vec();
 
-    let mut sim = cn.sim_wide::<W>();
+    let mut sim = cn.sim();
     for (lane, &s) in seeds.iter().enumerate() {
         let s = if s == 0 { 1 } else { s }; // the RNG module's zero-seed guard
         sim.set_bus_lane(&seed_bus, lane, s as u64);
@@ -118,22 +99,21 @@ pub fn try_ca_lane_streams_wide<const W: usize>(
     // The rn output bus IS the register bank, so after the load edge it
     // already reads the seed; sample-then-advance from here on matches
     // `Rng16::next_u16` (first draw after reseed is the seed itself).
-    // Per step, the 16 lane-packed bus word groups are read once and
-    // every active lane's draw is assembled from them — 16 net reads
-    // per step instead of 16 per lane per step.
+    // Per step, the 16 lane-packed bus words are read once and every
+    // active lane's draw is assembled from them — 16 net reads per step
+    // instead of 16 per lane per step.
     let mut streams: Vec<Vec<u16>> = (0..seeds.len())
         .map(|_| Vec::with_capacity(draws))
         .collect();
-    let mut words = [[0u64; W]; 16];
+    let mut words = [0u64; 16];
     for _ in 0..draws {
         for (w, &n) in words.iter_mut().zip(&rn_bus) {
-            *w = sim.net_words(n);
+            *w = sim.net(n);
         }
         for (lane, stream) in streams.iter_mut().enumerate() {
-            let (wi, shift) = (lane / 64, lane % 64);
             let mut v = 0u16;
             for (bit, w) in words.iter().enumerate() {
-                v |= (((w[wi] >> shift) & 1) as u16) << bit;
+                v |= (((w >> lane) & 1) as u16) << bit;
             }
             stream.push(v);
         }
@@ -261,29 +241,6 @@ mod tests {
     fn more_than_64_seeds_rejected() {
         let seeds: Vec<u16> = (0..65).collect();
         let _ = ca_lane_streams(&seeds, 1);
-    }
-
-    #[test]
-    fn full_256_lane_pack_matches_the_reference_rng() {
-        // 256 seeds through one 4-word run: every lane — including the
-        // word-boundary lanes 63/64/127/128/191/192 — must replay its
-        // solo CaRng stream exactly.
-        let seeds: Vec<u16> = (0..256u16).map(|i| i.wrapping_mul(2731) ^ 5).collect();
-        let streams = try_ca_lane_streams_wide::<4>(&seeds, 12, u64::MAX).expect("unbounded");
-        assert_eq!(streams.len(), 256);
-        for (lane, (&seed, stream)) in seeds.iter().zip(&streams).enumerate() {
-            let mut reference = CaRng::new(seed);
-            for (k, &v) in stream.iter().enumerate() {
-                assert_eq!(v, reference.next_u16(), "lane {lane} draw {k}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed the 128 lanes")]
-    fn wide_packs_enforce_their_own_lane_cap() {
-        let seeds: Vec<u16> = (0..129).collect();
-        let _ = try_ca_lane_streams_wide::<2>(&seeds, 1, u64::MAX);
     }
 
     #[test]

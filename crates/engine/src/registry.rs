@@ -8,9 +8,7 @@
 
 use std::sync::OnceLock;
 
-use crate::adapters::{
-    BehavioralEngine, BitSimWideEngine, Rtl32Engine, RtlInterpEngine, SwgaEngine,
-};
+use crate::adapters::{BehavioralEngine, BitSim64Engine, Rtl32Engine, RtlInterpEngine, SwgaEngine};
 use crate::spec::{BackendKind, Engine};
 
 /// An ordered collection of [`Engine`]s, keyed by [`BackendKind`].
@@ -26,15 +24,13 @@ impl EngineRegistry {
         }
     }
 
-    /// The production registry: all seven backends, in
+    /// The production registry: all five backends, in
     /// [`BackendKind::ALL`] order.
     pub fn with_default_engines() -> Self {
         let mut r = EngineRegistry::new();
         r.register(Box::new(BehavioralEngine));
         r.register(Box::new(RtlInterpEngine));
-        r.register(Box::new(BitSimWideEngine::<1>));
-        r.register(Box::new(BitSimWideEngine::<2>));
-        r.register(Box::new(BitSimWideEngine::<4>));
+        r.register(Box::new(BitSim64Engine));
         r.register(Box::new(SwgaEngine));
         r.register(Box::new(Rtl32Engine));
         r
@@ -110,8 +106,6 @@ mod tests {
                 BackendKind::Behavioral,
                 BackendKind::RtlInterp,
                 BackendKind::BitSim64,
-                BackendKind::BitSim128,
-                BackendKind::BitSim256,
                 BackendKind::Swga,
             ]
         );

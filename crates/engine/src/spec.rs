@@ -26,11 +26,6 @@ pub enum BackendKind {
     /// The compiled 64-lane netlist simulation: compatible jobs share
     /// one bit-sliced CA-RNG run, one job per lane.
     BitSim64,
-    /// The 128-lane (two `u64` words per net) wide netlist simulation.
-    BitSim128,
-    /// The 256-lane (four words per net) wide netlist simulation — one
-    /// pack amortizes the bit-sliced CA-RNG run across 256 jobs.
-    BitSim256,
     /// The instrumented software GA (`swga::CountingGa`) — the paper's
     /// PowerPC reference implementation.
     Swga,
@@ -41,12 +36,10 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// Every backend, in dispatch-priority order.
-    pub const ALL: [BackendKind; 7] = [
+    pub const ALL: [BackendKind; 5] = [
         BackendKind::Behavioral,
         BackendKind::RtlInterp,
         BackendKind::BitSim64,
-        BackendKind::BitSim128,
-        BackendKind::BitSim256,
         BackendKind::Swga,
         BackendKind::Rtl32,
     ];
@@ -57,8 +50,6 @@ impl BackendKind {
             BackendKind::Behavioral => "behavioral",
             BackendKind::RtlInterp => "rtl",
             BackendKind::BitSim64 => "bitsim64",
-            BackendKind::BitSim128 => "bitsim128",
-            BackendKind::BitSim256 => "bitsim256",
             BackendKind::Swga => "swga",
             BackendKind::Rtl32 => "rtl32",
         }

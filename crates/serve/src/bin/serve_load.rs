@@ -33,8 +33,8 @@ use ga_core::GaParams;
 use ga_fitness::TestFunction;
 use ga_serve::{jsonl, BackendKind, GaJob, NetConfig, Server};
 
-/// The load mix: small fast parameter shapes cycling the lockstep-pack
-/// family plus the scalar engines, heavy on the cheap backends so the
+/// The load mix: small fast parameter shapes cycling the 64-lane
+/// `bitsim64` pack backend plus the scalar engines, heavy on the cheap backends so the
 /// sustained rate lands in the tens of thousands of jobs per second.
 /// The cycle-accurate RTL interpreters are deliberately excluded — one
 /// 20 ms RTL job per thousand would own every p99 and measure nothing
@@ -46,9 +46,9 @@ fn job_for(conn: usize, i: usize) -> GaJob {
         BackendKind::Behavioral,
         BackendKind::BitSim64,
         BackendKind::Swga,
-        BackendKind::BitSim128,
+        BackendKind::BitSim64,
         BackendKind::Behavioral,
-        BackendKind::BitSim256,
+        BackendKind::BitSim64,
     ];
     let backend = MIX[i % MIX.len()];
     let function = TestFunction::ALL[(conn + i) % TestFunction::ALL.len()];

@@ -38,7 +38,7 @@
 //! previous complete checkpoint intact.
 
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 
@@ -48,7 +48,7 @@ use ga_core::{GaParams, Individual};
 use ga_engine::{CheckpointBundle, RunSpec};
 
 use crate::job::{function_by_name, BackendKind, GaJob, Workload};
-use crate::jsonl::{as_int, as_str, escape_string, parse_object, strip_line_ending, JsonValue};
+use crate::jsonl::{as_int, as_str, escape_string, parse_object, read_wire_line, JsonValue};
 
 /// Bind `addr`, announce `listening <addr>` on stdout (so `:0` is
 /// scriptable, mirroring `gaserved --listen`), accept **one**
@@ -76,20 +76,17 @@ pub fn serve_island_connection(stream: TcpStream) -> Result<(), String> {
         .map_err(|e| format!("cannot clone stream: {e}"))?;
     let mut reader = BufReader::new(stream);
     let mut member: Option<Box<dyn ga_core::IslandMember>> = None;
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|e| format!("read failed: {e}"))?;
-        if n == 0 {
+        let Some(read) =
+            read_wire_line(&mut reader, &mut buf).map_err(|e| format!("read failed: {e}"))?
+        else {
             return Ok(()); // coordinator went away; nothing to flush
-        }
-        let text = strip_line_ending(&line);
-        if text.trim().is_empty() {
+        };
+        if matches!(read, Ok(text) if text.trim().is_empty()) {
             continue;
         }
-        let (reply, done) = match worker_op(text, &mut member) {
+        let (reply, done) = match read.and_then(|text| worker_op(text, &mut member)) {
             Ok((reply, done)) => (reply, done),
             Err(msg) => (
                 format!("{{\"ok\":false,\"error\":\"{}\"}}", escape_string(&msg)),
@@ -249,15 +246,12 @@ impl ShardConn {
     /// error string, a closed connection surfaces as a transport error
     /// (the campaign's kill-detection signal).
     fn recv(&mut self) -> Result<Vec<(String, JsonValue)>, String> {
-        let mut line = String::new();
-        let n = self
-            .reader
-            .read_line(&mut line)
-            .map_err(|e| format!("shard read failed: {e}"))?;
-        if n == 0 {
-            return Err("shard connection closed".into());
-        }
-        let pairs = parse_object(strip_line_ending(&line))?;
+        let mut buf = Vec::new();
+        let text = read_wire_line(&mut self.reader, &mut buf)
+            .map_err(|e| format!("shard read failed: {e}"))?
+            .ok_or("shard connection closed")?
+            .map_err(|msg| format!("shard reply rejected: {msg}"))?;
+        let pairs = parse_object(text)?;
         match pairs.iter().find(|(k, _)| k == "ok") {
             Some((_, JsonValue::Bool(true))) => Ok(pairs),
             _ => {
@@ -507,6 +501,7 @@ pub fn read_checkpoint(path: &Path) -> Result<CheckpointBundle, String> {
 mod tests {
     use super::*;
     use ga_fitness::TestFunction;
+    use std::io::BufRead;
     use std::thread::JoinHandle;
 
     fn spawn_worker() -> (String, JoinHandle<Result<(), String>>) {
@@ -632,6 +627,17 @@ mod tests {
         assert!(call("{\"op\":\"epoch\",\"gens\":1}").contains("\"ok\":false"));
         assert!(call("{\"op\":\"warp\"}").contains("unknown op"));
         assert!(call("not json").contains("\"ok\":false"));
+        for retired in ["bitsim128", "bitsim256"] {
+            let init = format!(
+                "{{\"op\":\"init\",\"fn\":\"BF6\",\"backend\":\"{retired}\",\"pop\":16,\
+                 \"gens\":4,\"xover\":10,\"mut\":1,\"seed\":1,\"islands\":1,\"shard\":0}}"
+            );
+            let reply = call(&init);
+            assert!(
+                reply.contains(&format!("unknown backend \\\"{retired}\\\"")),
+                "{reply}"
+            );
+        }
         let init = "{\"op\":\"init\",\"fn\":\"BF6\",\"backend\":\"behavioral\",\"pop\":16,\
                     \"gens\":4,\"xover\":10,\"mut\":1,\"seed\":10593,\"islands\":1,\"shard\":0}";
         assert!(call(init).contains("\"ok\":true"));
@@ -644,6 +650,33 @@ mod tests {
         )
         .contains("snapshot"));
         assert!(call("{\"op\":\"finish\"}").contains("\"evaluations\""));
+        worker.join().expect("thread").expect("clean exit");
+    }
+
+    #[test]
+    fn worker_answers_oversized_and_non_utf8_lines_and_stays_up() {
+        let (addr, worker) = spawn_worker();
+        let stream = TcpStream::connect(&addr).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        let mut call = |bytes: &[u8]| -> String {
+            writer.write_all(bytes).unwrap();
+            writer.flush().unwrap();
+            let mut reply = Vec::new();
+            read_wire_line(&mut reader, &mut reply)
+                .unwrap()
+                .unwrap()
+                .unwrap()
+                .to_string()
+        };
+        let mut huge = vec![b' '; 1 << 20];
+        huge.push(b'\n');
+        assert!(call(&huge).contains("exceeds the 65536-byte limit"));
+        assert!(call(b"{\"op\":\"\xff\"}\n").contains("not valid UTF-8"));
+        let init = b"{\"op\":\"init\",\"fn\":\"BF6\",\"backend\":\"behavioral\",\"pop\":16,\
+                     \"gens\":4,\"xover\":10,\"mut\":1,\"seed\":1,\"islands\":1,\"shard\":0}\n";
+        assert!(call(init).contains("\"ok\":true"));
+        assert!(call(b"{\"op\":\"finish\"}\n").contains("\"evaluations\""));
         worker.join().expect("thread").expect("clean exit");
     }
 

@@ -42,6 +42,7 @@
 //! (the same reason `ga-bench` hand-rolls its report JSON).
 
 use std::fmt::Write as _;
+use std::io::{self, BufRead, Read};
 
 use ga_core::islands::IslandConfig;
 use ga_core::GaParams;
@@ -247,7 +248,7 @@ fn byte_name(b: Option<u8>) -> String {
 
 /// Strip one trailing line ending (`\n`, `\r\n`, or a bare `\r`) from a
 /// raw input line. Both reader paths — the batch file loop and the
-/// socket `read_line` loop — must run every line through this before
+/// socket loop ([`read_wire_line`]) — must run every line through this before
 /// [`parse_job`], so CRLF-sending network clients (and CRLF-checked-out
 /// fixture files) get the same parses and the same *empty-line* skips
 /// as LF input; a stray `"\r"` line must count as blank, not as a
@@ -255,6 +256,43 @@ fn byte_name(b: Option<u8>) -> String {
 pub fn strip_line_ending(line: &str) -> &str {
     let line = line.strip_suffix('\n').unwrap_or(line);
     line.strip_suffix('\r').unwrap_or(line)
+}
+
+/// The longest line a socket peer may send, line ending included. A job
+/// line is a few hundred bytes and an island snapshot reply a few KiB,
+/// so the cap only ever stops a runaway or hostile peer.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Read one `\n`-terminated line from a socket peer, holding at most
+/// [`MAX_LINE_BYTES`] + 1 bytes in `buf` however long the line is.
+///
+/// Returns `Ok(None)` at EOF and `Ok(Some(Ok(text)))` for a line, its
+/// ending stripped by [`strip_line_ending`]. An over-long line is
+/// discarded through its newline, and it and a non-UTF-8 line come back
+/// as `Ok(Some(Err(msg)))`: the caller answers them in wire position and
+/// keeps reading, so line numbering stays intact. Only transport errors
+/// are `Err`.
+pub fn read_wire_line<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<Result<&'b str, String>>> {
+    buf.clear();
+    let cap = MAX_LINE_BYTES as u64;
+    if reader.by_ref().take(cap + 1).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.len() as u64 > cap {
+        if buf.last() != Some(&b'\n') {
+            reader.skip_until(b'\n')?;
+        }
+        return Ok(Some(Err(format!(
+            "line exceeds the {MAX_LINE_BYTES}-byte limit"
+        ))));
+    }
+    Ok(Some(match std::str::from_utf8(buf) {
+        Ok(text) => Ok(strip_line_ending(text)),
+        Err(_) => Err("line is not valid UTF-8".into()),
+    }))
 }
 
 /// Parse one request line into a [`GaJob`]. `line` is the 0-based input
@@ -905,5 +943,32 @@ mod tests {
             ]
         );
         assert!(parse_object("{\"a\":1,}").is_err(), "trailing comma");
+    }
+
+    #[test]
+    fn wire_lines_are_bounded_and_keep_their_positions() {
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&vec![b'a'; MAX_LINE_BYTES - 1]);
+        wire.push(b'\n'); // exactly at the cap: accepted
+        wire.extend_from_slice(&vec![b'b'; MAX_LINE_BYTES]);
+        wire.push(b'\n'); // one byte over: discarded through the newline
+        wire.extend_from_slice(b"\xff\r\n");
+        wire.extend_from_slice(b"tail"); // unterminated last line
+        let mut reader = std::io::BufReader::with_capacity(1000, &wire[..]);
+        let mut buf = Vec::new();
+        let mut next = || {
+            read_wire_line(&mut reader, &mut buf)
+                .expect("in-memory reads cannot fail")
+                .map(|r| r.map(str::len))
+        };
+        assert_eq!(next(), Some(Ok(MAX_LINE_BYTES - 1)));
+        assert_eq!(
+            next(),
+            Some(Err(format!("line exceeds the {MAX_LINE_BYTES}-byte limit")))
+        );
+        assert_eq!(next(), Some(Err("line is not valid UTF-8".into())));
+        assert_eq!(next(), Some(Ok(4)));
+        assert_eq!(next(), None);
+        assert!(buf.capacity() <= 2 * (MAX_LINE_BYTES + 1), "bounded buffer");
     }
 }

@@ -7,9 +7,8 @@
 //! units (solos and multi-lane packs), distributed over scoped workers
 //! by an atomic claim loop (`ga_bench::run_sweep`), and each job is
 //! dispatched through the **engine registry** (`ga_engine::global`) to
-//! whichever backend it names — `behavioral`, `rtl`, the wide-lane
-//! `bitsim64`/`bitsim128`/`bitsim256` family, `swga`, or the 32-bit
-//! `rtl32` composite. The service itself contains no per-engine drive
+//! whichever backend it names — `behavioral`, `rtl`, the 64-lane
+//! `bitsim64` netlist backend, `swga`, or the 32-bit `rtl32` composite. The service itself contains no per-engine drive
 //! loops: admission, packing eligibility (`pack_width`), and the
 //! degradation policy (`degrades_to`) are all read off each engine's
 //! [`ga_engine::Capabilities`].
@@ -30,7 +29,6 @@ pub mod islands;
 pub mod job;
 pub mod jsonl;
 pub mod net;
-pub mod pack;
 pub mod queue;
 pub mod service;
 
@@ -39,7 +37,6 @@ pub use job::{
     BackendKind, GaJob, HealReport, JobOutput, JobResult, ServeError, Workload, CHROM_WIDTH,
 };
 pub use net::{AdmissionStats, DrainSummary, NetConfig, Server};
-pub use pack::{ca_lane_streams, draws_per_run, StreamRng};
 pub use queue::BoundedQueue;
 pub use service::{
     serve_batch, BackendCounters, LatencyHisto, ServeConfig, ServeOutcome, ServeStats,

@@ -37,7 +37,7 @@
 //! same `BENCH_serve.json` report as the batch binary.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -377,20 +377,15 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
     });
     let mut reader = BufReader::new(stream);
     let mut bucket = TokenBucket::new(shared.cfg.rate_per_sec, shared.cfg.rate_burst);
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     let mut line_no = 0usize; // wire `job` id: counts every input line
     let mut seq = 0u64; // response slot: counts answered lines only
     let mut submitted = 0u64;
-    loop {
-        buf.clear();
-        match reader.read_line(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        let text = jsonl::strip_line_ending(&buf);
+    // A transport error ends the connection; EOF ends it cleanly.
+    while let Ok(Some(read)) = jsonl::read_wire_line(&mut reader, &mut buf) {
         let line = line_no;
         line_no += 1;
-        if text.trim().is_empty() {
+        if matches!(read, Ok(text) if text.trim().is_empty()) {
             continue;
         }
         relock(shared.admission.lock()).lines += 1;
@@ -400,7 +395,8 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
             *field(&mut relock(shared.admission.lock())) += 1;
             conn.emit(this_seq, jsonl::parse_error_line(line, &err));
         };
-        let job = match jsonl::parse_job(text, line) {
+        let parsed = read.map_err(|msg| ServeError::Parse { line, msg });
+        let job = match parsed.and_then(|text| jsonl::parse_job(text, line)) {
             Ok(job) => job,
             Err(e) => {
                 reject(e, |a| &mut a.rejected_parse);

@@ -8,6 +8,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use ga_bench::{default_threads, lane_chunks, run_sweep, BenchReport, Stopwatch};
+use ga_engine::{BitSim64Engine, Engine};
 
 use crate::backend;
 use crate::job::{BackendKind, GaJob, JobResult, ServeError};
@@ -385,15 +386,11 @@ impl ServeStats {
     /// to be accumulated but silently dropped from the report). The
     /// report's `threads` field is [`ServeStats::threads_used`] — the
     /// pool size that actually ran, never the configured one. The
-    /// `lanes` field reports the widest registered pack when any pack
-    /// ran, else 1.
+    /// `lanes` field reports bitsim64's pack width when any pack ran,
+    /// else 1.
     pub fn to_report(&self) -> BenchReport {
         let lanes = if self.packs > 0 {
-            ga_engine::global()
-                .engines()
-                .map(|e| e.capabilities().pack_width)
-                .max()
-                .unwrap_or(1) as u64
+            BitSim64Engine.capabilities().pack_width as u64
         } else {
             1
         };
@@ -771,22 +768,6 @@ mod tests {
         assert!(out.stats.pack_micros > 0);
         assert!(out.stats.pack_jobs_per_sec() > 0.0);
         assert!(out.stats.cache_hits + out.stats.cache_misses >= out.stats.packs);
-    }
-
-    #[test]
-    fn wide_backends_pack_beyond_64_lanes() {
-        // 200 compatible bitsim256 jobs fit one 256-lane pack; the same
-        // load on bitsim128 takes two packs (128 + 72 active lanes).
-        for (backend, want_packs) in [(BackendKind::BitSim256, 1), (BackendKind::BitSim128, 2)] {
-            let jobs: Vec<GaJob> = (0..200u16)
-                .map(|i| quick_job(backend, 0x9000 + i))
-                .collect();
-            let out = serve_batch(&jobs, &ServeConfig::default());
-            assert_eq!(out.stats.packs, want_packs, "{}", backend.name());
-            assert_eq!(out.stats.packed_lanes, 200);
-            assert_eq!(out.stats.counters(backend).jobs, 200);
-            assert_eq!(out.stats.errors(), 0);
-        }
     }
 
     #[test]

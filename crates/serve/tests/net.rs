@@ -23,13 +23,21 @@ const GOLDEN: &str = concat!(
 /// concurrent reader, like a real pipelined client), half-close, and
 /// collect every response line until the server closes the socket.
 fn stream_lines(addr: std::net::SocketAddr, lines: Vec<String>) -> Vec<String> {
+    let mut wire = Vec::new();
+    for line in lines {
+        wire.extend_from_slice(line.as_bytes());
+        wire.push(b'\n');
+    }
+    stream_bytes(addr, wire)
+}
+
+/// [`stream_lines`] over raw wire bytes, for input that is not a list
+/// of well-formed text lines.
+fn stream_bytes(addr: std::net::SocketAddr, wire: Vec<u8>) -> Vec<String> {
     let stream = TcpStream::connect(addr).expect("connect");
     let mut write_half = stream.try_clone().expect("clone");
     let writer = thread::spawn(move || {
-        for line in lines {
-            write_half.write_all(line.as_bytes()).expect("send");
-            write_half.write_all(b"\n").expect("send newline");
-        }
+        write_half.write_all(&wire).expect("send");
         let _ = write_half.shutdown(std::net::Shutdown::Write);
     });
     let got: Vec<String> = BufReader::new(stream)
@@ -61,7 +69,7 @@ fn concurrent_connections_stream_golden_stable_line_aligned_results() {
     // The acceptance criterion: >=2 concurrent connections, each
     // getting byte-identical results to the batch-mode golden, line
     // numbers aligned per connection. Connection A streams the whole
-    // fixture (35 lines incl. parse errors, deadline, rtl32, heal and
+    // fixture (40 lines incl. parse errors, deadline, rtl32, heal and
     // island jobs); connection B concurrently streams a 13-line prefix
     // and must get exactly the first 13 golden lines.
     let server = Server::bind("127.0.0.1:0", NetConfig::default()).expect("bind");
@@ -82,13 +90,50 @@ fn concurrent_connections_stream_golden_stable_line_aligned_results() {
 
     let summary = server.drain();
     assert_eq!(summary.admission.connections, 2);
-    // Conn A's non-JSON line, its two unsupported-width lines, and the
-    // half-specified island triple are all rejected at the reader,
-    // before any backend.
-    assert_eq!(summary.admission.rejected_parse, 4);
+    // Conn A's non-JSON line, its two unsupported-width lines, the
+    // half-specified island triple and its five lines naming retired
+    // backends are all rejected at the reader, before any backend.
+    assert_eq!(summary.admission.rejected_parse, 9);
     // Conn A served its 31 parseable jobs, conn B the prefix's 13.
     assert_eq!(summary.stats.jobs(), 44);
     assert_eq!(summary.admission.rejected_closed, 0, "nothing raced drain");
+}
+
+#[test]
+fn oversized_and_non_utf8_lines_are_answered_in_position() {
+    // A 1 MiB newline-free line and a line that is not UTF-8 each get
+    // a typed parse error in their own wire position; the connection
+    // stays up and the valid job after each is served as usual.
+    let server = Server::bind("127.0.0.1:0", NetConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    let job = &fixture_lines()[0];
+    let mut wire = vec![b'x'; 1 << 20];
+    wire.push(b'\n');
+    wire.extend_from_slice(format!("{job}\n").as_bytes());
+    wire.extend_from_slice(b"{\"fn\":\"\xff\"}\n");
+    wire.extend_from_slice(format!("{job}\n").as_bytes());
+    let got = stream_bytes(addr, wire);
+
+    let served =
+        |line: usize| golden_lines()[0].replacen("{\"job\":0,", &format!("{{\"job\":{line},"), 1);
+    let parse_error = |line: usize, msg: &str| {
+        format!(
+            "{{\"job\":{line},\"backend\":\"none\",\"ok\":false,\"error\":\"parse\",\
+             \"detail\":\"line {line}: {msg}\"}}"
+        )
+    };
+    assert_eq!(
+        got,
+        [
+            parse_error(0, "line exceeds the 65536-byte limit"),
+            served(1),
+            parse_error(2, "line is not valid UTF-8"),
+            served(3),
+        ]
+    );
+    let summary = server.drain();
+    assert_eq!(summary.admission.rejected_parse, 2);
+    assert_eq!(summary.stats.jobs(), 2);
 }
 
 #[test]

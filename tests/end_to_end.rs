@@ -131,28 +131,29 @@ fn ehw_healing_mission_recovers() {
     );
 }
 
-/// The engine registry serves every backend end to end — all seven
-/// kinds enumerated, every 16-bit engine bit-identical to behavioral
+/// The engine registry serves every backend end to end — exactly five
+/// kinds enumerated (the retired wide bitsim names no longer parse), every 16-bit engine bit-identical to behavioral
 /// on *both* workload kinds (classic fitness function and VRC
 /// healing), the 32-bit composite self-consistent on its own width,
 /// and healing correctly refused where it cannot run.
 #[test]
-fn registry_matrix_covers_all_seven_backends_and_both_workloads() {
+fn registry_matrix_covers_all_five_backends_and_both_workloads() {
     use ga_engine::{BackendKind, Limits, RunSpec, Workload};
 
     let registry = ga_engine::global();
     let kinds = registry.kinds();
-    assert_eq!(kinds.len(), 7, "seven registered backends: {kinds:?}");
+    assert_eq!(kinds.len(), 5, "five registered backends: {kinds:?}");
     for kind in [
         BackendKind::Behavioral,
         BackendKind::RtlInterp,
         BackendKind::BitSim64,
-        BackendKind::BitSim128,
-        BackendKind::BitSim256,
         BackendKind::Swga,
         BackendKind::Rtl32,
     ] {
         assert!(kinds.contains(&kind), "{} missing", kind.name());
+    }
+    for retired in ["bitsim128", "bitsim256"] {
+        assert_eq!(BackendKind::parse(retired), None, "{retired} still parses");
     }
 
     let heal = Workload::VrcHeal {
