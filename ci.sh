@@ -14,6 +14,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test --workspace"
 cargo test --workspace -q
 
+echo "== perfbench build + tests (its own workspace, built against the repo's crates)"
+# perfbench is not a workspace member, so the steps above never compile
+# it; build and test it here so an API change it depends on fails CI.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== galint --format json"
 cargo run -q --release -p galint --bin galint -- --format json
 

@@ -12,6 +12,8 @@
 //! multi-FPGA layout those papers prototype, and a faithful model
 //! because inter-island traffic happens only at epoch barriers.
 
+use std::convert::Infallible;
+
 use carng::ca::MAXIMAL_RULE_VECTOR;
 use carng::wide::CaRngW;
 use carng::{CaRng, SnapshotRng};
@@ -116,98 +118,111 @@ where
         .map(|k| {
             let seed = island_seed(params.seed, k, config.islands);
             let p = GaParams { seed, ..params };
-            Box::new(GaEngine::new(p, CaRng::new(seed), fit)) as Box<dyn IslandMember + '_>
+            let mut m = Box::new(GaEngine::new(p, CaRng::new(seed), fit));
+            m.init_population();
+            m as Box<dyn IslandMember + '_>
         })
         .collect();
-    run_islands_over(config, members)
+    let Ok(run) = IslandRing::new(config, members, 0).run();
+    run
 }
 
-/// The epoch-granular island driver: members between epochs, one
-/// scoped-thread fan-out per [`IslandRing::step_epoch`], ring migration
-/// at every barrier. Splitting the loop open (instead of running it to
-/// completion inside [`run_islands_over`]) is what lets the engine
-/// layer checkpoint every member after each epoch and resume a killed
-/// run from the snapshots — the trajectory is bit-identical either way
-/// because all cross-island traffic happens at the barrier.
-pub struct IslandRing<'a> {
+/// The island ring's members, one phase at a time. Each call covers the
+/// whole ring (`members[k]` is island *k*), so an implementation may
+/// overlap the members' work — scoped threads in process, pipelined
+/// requests across worker processes — while [`IslandRing`] alone owns
+/// the order of the phases.
+pub trait RingMember: Sized {
+    /// Why a phase failed (`Infallible` in process).
+    type Error;
+    /// Evolve every member `gens` generations; return each member's best.
+    fn evolve_all(members: &mut [Self], gens: u32) -> Result<Vec<Individual>, Self::Error>;
+    /// Hand `migrants[k]` to member *k* (it replaces the worst).
+    fn inject_all(members: &mut [Self], migrants: &[Individual]) -> Result<(), Self::Error>;
+    /// Capture every member's state.
+    fn snapshot_all(members: &mut [Self]) -> Result<Vec<EngineSnapshot>, Self::Error>;
+    /// Every member's final best and evaluation count.
+    fn finish_all(members: &mut [Self]) -> Result<Vec<(Individual, u64)>, Self::Error>;
+}
+
+/// In-process members: one scoped thread per island for the evolve
+/// phase, every other phase inline.
+impl RingMember for Box<dyn IslandMember + '_> {
+    type Error = Infallible;
+
+    fn evolve_all(members: &mut [Self], gens: u32) -> Result<Vec<Individual>, Infallible> {
+        std::thread::scope(|s| {
+            for m in members.iter_mut() {
+                s.spawn(move || {
+                    for _ in 0..gens {
+                        m.step_generation();
+                    }
+                });
+            }
+        });
+        Ok(members.iter().map(|m| m.best()).collect())
+    }
+
+    fn inject_all(members: &mut [Self], migrants: &[Individual]) -> Result<(), Infallible> {
+        for (m, &migrant) in members.iter_mut().zip(migrants) {
+            m.inject(migrant);
+        }
+        Ok(())
+    }
+
+    fn snapshot_all(members: &mut [Self]) -> Result<Vec<EngineSnapshot>, Infallible> {
+        Ok(members.iter().map(|m| m.snapshot()).collect())
+    }
+
+    fn finish_all(members: &mut [Self]) -> Result<Vec<(Individual, u64)>, Infallible> {
+        Ok(members
+            .iter()
+            .map(|m| (m.best(), m.evaluations()))
+            .collect())
+    }
+}
+
+/// The epoch-granular island driver: members between epochs, ring
+/// migration at every barrier. Splitting the loop open is what lets the
+/// engine layer checkpoint every member after each epoch and resume a
+/// killed run from the snapshots — the trajectory is bit-identical
+/// either way because all cross-island traffic happens at the barrier.
+/// The same loop drives in-process members and remote worker shards.
+pub struct IslandRing<M> {
     config: IslandConfig,
-    engines: Vec<Box<dyn IslandMember + 'a>>,
+    members: Vec<M>,
     epochs_done: u32,
 }
 
-impl<'a> IslandRing<'a> {
-    fn validated(
-        config: IslandConfig,
-        members: Vec<Box<dyn IslandMember + 'a>>,
-        epochs_done: u32,
-    ) -> Self {
+impl<M: RingMember> IslandRing<M> {
+    /// A ring over members already positioned at the `epochs_done`
+    /// barrier: fresh members (initial population generated, barrier 0)
+    /// or members restored from a checkpoint. `members[k]` is island
+    /// *k*; callers seed the members with disjoint streams
+    /// ([`island_seed`]).
+    pub fn new(config: IslandConfig, members: Vec<M>, epochs_done: u32) -> Self {
         assert!(config.islands >= 1);
         assert_eq!(members.len(), config.islands, "one member per island");
         assert!(config.epoch >= 1 && config.epochs >= 1);
+        assert!(epochs_done <= config.epochs, "resuming past the end");
         IslandRing {
             config,
-            engines: members,
+            members,
             epochs_done,
         }
     }
 
-    /// Start a fresh ring: every member's initial population is
-    /// generated and evaluated. `members[k]` is island *k*; callers are
-    /// responsible for seeding the members with disjoint streams
-    /// ([`island_seed`]).
-    pub fn new(config: IslandConfig, members: Vec<Box<dyn IslandMember + 'a>>) -> Self {
-        let mut ring = Self::validated(config, members, 0);
-        for e in ring.engines.iter_mut() {
-            e.init_population();
-        }
-        ring
-    }
-
-    /// Rebuild a ring from members that were already positioned (via
-    /// [`IslandMember::restore`]) at the `epochs_done` barrier: no
-    /// initial populations are generated, no RNG draws are consumed.
-    pub fn resume(
-        config: IslandConfig,
-        members: Vec<Box<dyn IslandMember + 'a>>,
-        epochs_done: u32,
-    ) -> Self {
-        assert!(epochs_done <= config.epochs, "resuming past the end");
-        Self::validated(config, members, epochs_done)
-    }
-
-    /// Evolve every island for `epoch` generations in parallel, then
-    /// migrate: island *k*'s best replaces the worst member of island
-    /// *(k+1) mod n* on the ring.
-    pub fn step_epoch(&mut self) {
-        let config = self.config;
-        let engines = &mut self.engines;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = engines
-                .drain(..)
-                .map(|mut e| {
-                    s.spawn(move || {
-                        for _ in 0..config.epoch {
-                            e.step_generation();
-                        }
-                        e
-                    })
-                })
-                .collect();
-            engines.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("island thread panicked")),
-            );
-        });
-
-        if config.islands > 1 {
-            let migrants: Vec<Individual> = engines.iter().map(|e| e.best()).collect();
-            for (k, m) in migrants.into_iter().enumerate() {
-                let dst = (k + 1) % config.islands;
-                engines[dst].inject(m);
-            }
+    /// Evolve every island for `epoch` generations, collect **all**
+    /// bests, then migrate: island *k*'s best replaces the worst member
+    /// of island *(k+1) mod n* on the ring.
+    pub fn step_epoch(&mut self) -> Result<(), M::Error> {
+        let mut bests = M::evolve_all(&mut self.members, self.config.epoch)?;
+        if self.config.islands > 1 {
+            bests.rotate_right(1);
+            M::inject_all(&mut self.members, &bests)?;
         }
         self.epochs_done += 1;
+        Ok(())
     }
 
     /// The configuration in force.
@@ -225,47 +240,35 @@ impl<'a> IslandRing<'a> {
         self.epochs_done >= self.config.epochs
     }
 
-    /// Best individual across the ring right now.
-    pub fn best(&self) -> Individual {
-        self.engines
-            .iter()
-            .map(|e| e.best())
-            .max_by_key(|i| i.fitness)
-            .expect("at least one island")
-    }
-
     /// Snapshot every member at the current barrier, in ring order.
-    pub fn snapshots(&self) -> Vec<EngineSnapshot> {
-        self.engines.iter().map(|e| e.snapshot()).collect()
+    pub fn snapshots(&mut self) -> Result<Vec<EngineSnapshot>, M::Error> {
+        M::snapshot_all(&mut self.members)
     }
 
-    /// Finish: fold the members into the run result.
-    pub fn finish(self) -> IslandRun {
-        let island_best: Vec<Individual> = self.engines.iter().map(|e| e.best()).collect();
+    /// Finish: fold the members into the run result (later islands win
+    /// fitness ties).
+    pub fn finish(mut self) -> Result<IslandRun, M::Error> {
+        let finals = M::finish_all(&mut self.members)?;
+        let island_best: Vec<Individual> = finals.iter().map(|&(b, _)| b).collect();
         let best = island_best
             .iter()
             .copied()
             .max_by_key(|i| i.fitness)
             .expect("at least one island");
-        IslandRun {
+        Ok(IslandRun {
             best,
             island_best,
-            evaluations: self.engines.iter().map(|e| e.evaluations()).sum(),
-        }
+            evaluations: finals.iter().map(|&(_, e)| e).sum(),
+        })
     }
-}
 
-/// The migration loop run to completion — [`IslandRing`] driven over
-/// every configured epoch in one call.
-pub fn run_islands_over(
-    config: IslandConfig,
-    members: Vec<Box<dyn IslandMember + '_>>,
-) -> IslandRun {
-    let mut ring = IslandRing::new(config, members);
-    while !ring.done() {
-        ring.step_epoch();
+    /// Step every remaining epoch, then finish.
+    pub fn run(mut self) -> Result<IslandRun, M::Error> {
+        while !self.done() {
+            self.step_epoch()?;
+        }
+        self.finish()
     }
-    ring.finish()
 }
 
 #[cfg(test)]
@@ -368,24 +371,29 @@ mod tests {
                 })
                 .collect()
         };
-        let reference = run_islands_over(config, members());
+        let fresh = || {
+            let mut ms = members();
+            ms.iter_mut().for_each(|m| m.init_population());
+            ms
+        };
+        let Ok(reference) = IslandRing::new(config, fresh(), 0).run();
 
-        let mut ring = IslandRing::new(config, members());
-        ring.step_epoch();
-        ring.step_epoch();
-        let snaps = ring.snapshots();
+        let mut ring = IslandRing::new(config, fresh(), 0);
+        let Ok(()) = ring.step_epoch();
+        let Ok(()) = ring.step_epoch();
+        let Ok(snaps) = ring.snapshots();
         drop(ring); // the "crash"
 
-        let mut fresh = members();
-        for (m, s) in fresh.iter_mut().zip(&snaps) {
+        // Restored members draw no initial population: the ring picks
+        // up at barrier 2 exactly where the snapshots left off.
+        let mut restored = members();
+        for (m, s) in restored.iter_mut().zip(&snaps) {
             m.restore(s).expect("snapshot restores");
         }
-        let mut resumed = IslandRing::resume(config, fresh, 2);
+        let resumed = IslandRing::new(config, restored, 2);
         assert_eq!(resumed.epochs_done(), 2);
-        while !resumed.done() {
-            resumed.step_epoch();
-        }
-        assert_eq!(resumed.finish(), reference);
+        let Ok(run) = resumed.run();
+        assert_eq!(run, reference);
     }
 
     #[test]

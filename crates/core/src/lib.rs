@@ -39,9 +39,7 @@ pub mod system32;
 
 pub use behavioral::{FieldMode, GaEngine, GaRun, GenStats, Individual};
 pub use hwcore::GaCoreHw;
-pub use islands::{
-    run_islands, run_islands_over, IslandConfig, IslandMember, IslandRing, IslandRun,
-};
+pub use islands::{run_islands, IslandConfig, IslandMember, IslandRing, IslandRun, RingMember};
 pub use params::{GaParams, ParamIndex, PresetMode};
 pub use ports::{GaCoreComb, GaCoreIn, GaCoreOut};
 pub use scaling::GaEngine32;

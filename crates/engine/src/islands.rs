@@ -6,9 +6,11 @@
 //! be checkpointed after every epoch and resumed bit-identically after
 //! a crash ([`CheckpointBundle`], [`IslandsEngine::resume`]).
 
-use ga_core::islands::{island_seed, IslandConfig, IslandRing, IslandRun};
+use ga_core::islands::{
+    island_seed, IslandConfig, IslandMember, IslandRing, IslandRun, RingMember,
+};
 use ga_core::snapshot::{hex_decode, hex_encode, EngineSnapshot, SnapshotError};
-use ga_core::{GaParams, Individual};
+use ga_core::GaParams;
 
 use crate::spec::{Engine, EngineError, RunSpec};
 
@@ -126,13 +128,74 @@ impl CheckpointBundle {
     pub fn from_hex(s: &str) -> Result<Self, SnapshotError> {
         Self::decode(&hex_decode(s)?)
     }
+
+    /// The bundle for the ring's current barrier: its configuration,
+    /// epoch count and one snapshot per member.
+    pub fn capture<M: RingMember>(ring: &mut IslandRing<M>) -> Result<Self, M::Error> {
+        Ok(CheckpointBundle {
+            config: ring.config(),
+            epochs_done: ring.epochs_done(),
+            members: ring.snapshots()?,
+        })
+    }
+
+    /// Whether this bundle can resume a ring configured as `config`:
+    /// same ring shape and schedule, one snapshot per island, and not
+    /// past the last epoch.
+    pub fn check(&self, config: IslandConfig) -> Result<(), EngineError> {
+        let msg = if self.config != config {
+            format!(
+                "checkpoint was taken under a different island config ({:?} vs {config:?})",
+                self.config
+            )
+        } else if self.members.len() != config.islands {
+            format!(
+                "checkpoint has {} member snapshots for {} islands",
+                self.members.len(),
+                config.islands
+            )
+        } else if self.epochs_done > config.epochs {
+            format!(
+                "checkpoint is at epoch {} of {}",
+                self.epochs_done, config.epochs
+            )
+        } else {
+            return Ok(());
+        };
+        Err(EngineError::InvalidSpec { msg })
+    }
+}
+
+/// Island *k* of an `islands`-ring over `engine`: the spec with its
+/// seed moved to the island's [`island_seed`] slot, prepared and opened
+/// as a stepping handle. Stream-backed members extract exactly the
+/// draws `spec.params.n_gens` generations consume, so `n_gens` must be
+/// the full `epoch × epochs` schedule. The member is not yet
+/// positioned: the caller generates its initial population or restores
+/// a snapshot.
+pub fn island_member(
+    engine: &dyn Engine,
+    spec: &RunSpec,
+    k: usize,
+    islands: usize,
+) -> Result<Box<dyn IslandMember>, EngineError> {
+    let params = GaParams {
+        seed: island_seed(spec.params.seed, k, islands),
+        ..spec.params
+    };
+    let prepared = engine.prepare(RunSpec { params, ..*spec })?;
+    engine
+        .stepper(&prepared)
+        .ok_or_else(|| EngineError::InvalidSpec {
+            msg: format!("{} refused a stepping handle", engine.kind().name()),
+        })
 }
 
 /// An island-model run over one inner [`Engine`]. Not itself an
 /// `Engine` (its result shape is [`IslandRun`], per-island, not one
 /// [`crate::RunOutcome`]); it is the composition layer the `islands`
 /// bench bin, `examples/islands_engine.rs`, and the serve layer's
-/// island workers drive.
+/// island jobs drive.
 pub struct IslandsEngine<'a> {
     inner: &'a dyn Engine,
     config: IslandConfig,
@@ -142,29 +205,21 @@ pub struct IslandsEngine<'a> {
 /// Obtained from [`IslandsEngine::start`] (fresh) or
 /// [`IslandsEngine::resume`] (from a [`CheckpointBundle`]).
 pub struct IslandsDriver {
-    ring: IslandRing<'static>,
+    ring: IslandRing<Box<dyn IslandMember>>,
 }
 
 impl IslandsDriver {
     /// Run one epoch (parallel evolution + ring migration) and return
     /// the barrier's checkpoint.
     pub fn step_epoch(&mut self) -> CheckpointBundle {
-        self.ring.step_epoch();
+        let Ok(()) = self.ring.step_epoch();
         self.checkpoint()
     }
 
     /// The checkpoint for the current barrier.
-    pub fn checkpoint(&self) -> CheckpointBundle {
-        CheckpointBundle {
-            config: self.ring.config(),
-            epochs_done: self.ring.epochs_done(),
-            members: self.ring.snapshots(),
-        }
-    }
-
-    /// Epoch barriers crossed so far.
-    pub fn epochs_done(&self) -> u32 {
-        self.ring.epochs_done()
+    pub fn checkpoint(&mut self) -> CheckpointBundle {
+        let Ok(bundle) = CheckpointBundle::capture(&mut self.ring);
+        bundle
     }
 
     /// True once every configured epoch has run.
@@ -172,14 +227,10 @@ impl IslandsDriver {
         self.ring.done()
     }
 
-    /// Best individual across the ring right now.
-    pub fn best(&self) -> Individual {
-        self.ring.best()
-    }
-
     /// Finish: fold the ring into the run result.
     pub fn finish(self) -> IslandRun {
-        self.ring.finish()
+        let Ok(run) = self.ring.finish();
+        run
     }
 }
 
@@ -197,11 +248,11 @@ impl<'a> IslandsEngine<'a> {
         Ok(IslandsEngine { inner, config })
     }
 
-    /// The total generation budget the schedule implies, after checking
-    /// that `spec.params.n_gens` agrees with it. A disagreement is a
-    /// typed [`EngineError::InvalidSpec`] — the schedule used to
-    /// silently supersede `n_gens`, which hid caller bugs.
-    fn admit_schedule(&self, spec: &RunSpec) -> Result<u32, EngineError> {
+    /// Check that `spec.params.n_gens` agrees with the schedule's
+    /// `epoch × epochs`. A disagreement is a typed
+    /// [`EngineError::InvalidSpec`] — the schedule used to silently
+    /// supersede `n_gens`, which hid caller bugs.
+    fn admit_schedule(&self, spec: &RunSpec) -> Result<(), EngineError> {
         let total = self
             .config
             .epoch
@@ -221,36 +272,35 @@ impl<'a> IslandsEngine<'a> {
                 ),
             });
         }
-        Ok(total)
+        Ok(())
     }
 
-    /// Build one seeded stepping member per island. Island *k* gets the
-    /// shared CA stream jumped ahead to its [`island_seed`] slot;
-    /// stream-backed members extract exactly the draws the full
-    /// `epoch × epochs` schedule will consume.
-    fn members(&self, spec: &RunSpec) -> Result<Vec<Box<dyn ga_core::IslandMember>>, EngineError> {
-        (0..self.config.islands)
+    /// Build every island's member and position it with `place`.
+    fn ring(
+        &self,
+        spec: &RunSpec,
+        epochs_done: u32,
+        mut place: impl FnMut(usize, &mut Box<dyn IslandMember>) -> Result<(), EngineError>,
+    ) -> Result<IslandsDriver, EngineError> {
+        self.admit_schedule(spec)?;
+        let islands = self.config.islands;
+        let members = (0..islands)
             .map(|k| {
-                let seed = island_seed(spec.params.seed, k, self.config.islands);
-                let p = GaParams {
-                    seed,
-                    ..spec.params
-                };
-                let prepared = self.inner.prepare(RunSpec { params: p, ..*spec })?;
-                self.inner
-                    .stepper(&prepared)
-                    .ok_or_else(|| EngineError::InvalidSpec {
-                        msg: format!("{} refused a stepping handle", self.inner.kind().name()),
-                    })
+                let mut m = island_member(self.inner, spec, k, islands)?;
+                place(k, &mut m)?;
+                Ok(m)
             })
-            .collect()
+            .collect::<Result<_, EngineError>>()?;
+        Ok(IslandsDriver {
+            ring: IslandRing::new(self.config, members, epochs_done),
+        })
     }
 
     /// Start a fresh epoch-granular run at barrier zero.
     pub fn start(&self, spec: RunSpec) -> Result<IslandsDriver, EngineError> {
-        self.admit_schedule(&spec)?;
-        Ok(IslandsDriver {
-            ring: IslandRing::new(self.config, self.members(&spec)?),
+        self.ring(&spec, 0, |_, m| {
+            m.init_population();
+            Ok(())
         })
     }
 
@@ -265,33 +315,12 @@ impl<'a> IslandsEngine<'a> {
         spec: RunSpec,
         bundle: &CheckpointBundle,
     ) -> Result<IslandsDriver, EngineError> {
-        self.admit_schedule(&spec)?;
-        if bundle.config != self.config {
-            return Err(EngineError::InvalidSpec {
-                msg: format!(
-                    "checkpoint was taken under a different island config \
-                     ({:?} vs {:?})",
-                    bundle.config, self.config
-                ),
-            });
-        }
-        if bundle.members.len() != self.config.islands {
-            return Err(EngineError::InvalidSpec {
-                msg: format!(
-                    "checkpoint has {} member snapshots for {} islands",
-                    bundle.members.len(),
-                    self.config.islands
-                ),
-            });
-        }
-        let mut members = self.members(&spec)?;
-        for (k, (m, snap)) in members.iter_mut().zip(&bundle.members).enumerate() {
-            m.restore(snap).map_err(|e| EngineError::InvalidSpec {
-                msg: format!("island {k} snapshot does not restore: {e}"),
-            })?;
-        }
-        Ok(IslandsDriver {
-            ring: IslandRing::resume(self.config, members, bundle.epochs_done),
+        bundle.check(self.config)?;
+        self.ring(&spec, bundle.epochs_done, |k, m| {
+            m.restore(&bundle.members[k])
+                .map_err(|e| EngineError::InvalidSpec {
+                    msg: format!("island {k} snapshot does not restore: {e}"),
+                })
         })
     }
 

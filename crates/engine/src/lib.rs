@@ -42,7 +42,9 @@ pub use adapters::{
     SwgaEngine,
 };
 pub use cache::{global_cache, NetlistCache};
-pub use islands::{CheckpointBundle, IslandsDriver, IslandsEngine, CHECKPOINT_VERSION};
+pub use islands::{
+    island_member, CheckpointBundle, IslandsDriver, IslandsEngine, CHECKPOINT_VERSION,
+};
 pub use pack::{ca_lane_streams, draws_per_run, try_ca_lane_streams, StreamRng};
 pub use registry::{global, EngineRegistry};
 pub use spec::{

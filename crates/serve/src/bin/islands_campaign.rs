@@ -10,7 +10,7 @@
 //!    must equal the in-process one byte for byte.
 //! 3. **Kill + resume**: a fresh sharded run is killed after its first
 //!    barrier (one worker process is SIGKILLed mid-epoch; the
-//!    coordinator surfaces the broken shard as a typed error), then
+//!    coordinator's error must name the broken shard), then
 //!    resumed from the durable checkpoint file on *bitsim64* workers —
 //!    snapshots are backend-neutral — and must finish bit-identically.
 //!
@@ -137,7 +137,7 @@ fn main() -> ExitCode {
                 }
                 trajectory_matches += 1;
             }
-            migrations = coord.migrations;
+            migrations = coord.migrations();
             let sharded = coord.finish()?;
             if sharded != reference {
                 return Err("sharded run result diverged from the in-process run".into());
@@ -167,10 +167,11 @@ fn main() -> ExitCode {
             ring[1].kill(); // the "crash": SIGKILL one shard process
             match coord.step_epoch() {
                 Ok(_) => Err("coordinator did not notice the killed shard".into()),
-                Err(e) => {
+                Err(e) if e.contains("shard 1:") => {
                     eprintln!("islands_campaign: killed shard surfaced as: {e}");
                     Ok(())
                 }
+                Err(e) => Err(format!("killed shard 1 surfaced without its name: {e}")),
             }
         })();
         for w in &mut ring {

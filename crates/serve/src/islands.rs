@@ -9,9 +9,10 @@
 //! parser as the job schema — no external deps):
 //!
 //! ```text
-//! → {"op":"init","fn":"BF6","backend":"behavioral","pop":16,"gens":12,
-//!    "xover":10,"mut":1,"seed":10593,"islands":3,"shard":1}
-//! ← {"ok":true,"seed":43690}
+//! → {"op":"init","fn":"BF6","backend":"behavioral","width":16,"pop":16,
+//!    "gens":12,"xover":10,"mut":1,"seed":10593,"islands":3,"epoch":4,
+//!    "epochs":3,"shard":1}
+//! ← {"ok":true}
 //! → {"op":"epoch","gens":4}            evolve 4 generations
 //! ← {"ok":true,"chrom":513,"fitness":2800}
 //! → {"op":"inject","chrom":777,"fitness":3000}
@@ -22,33 +23,41 @@
 //! ← {"ok":true,"chrom":513,"fitness":3000,"evaluations":96}
 //! ```
 //!
-//! `init` may carry `"snapshot":"<hex>"` to restore the member at a
-//! checkpointed barrier instead of generating an initial population —
-//! that is the resume path, and because an [`EngineSnapshot`] is
-//! backend-neutral, a run checkpointed on `behavioral` workers resumes
-//! on `bitsim64` workers bit-identically (and vice versa).
+//! `init` carries the island job's own request line
+//! ([`crate::jsonl::job_line`]) plus the worker's `shard`; the worker
+//! parses and validates it exactly as the JSONL wire does, so it refuses
+//! the same jobs. `init` may also carry `"snapshot":"<hex>"` to restore
+//! the member at a checkpointed barrier instead of generating an
+//! initial population — that is the resume path, and because an
+//! [`EngineSnapshot`] is backend-neutral, a run checkpointed on
+//! `behavioral` workers resumes on `bitsim64` workers bit-identically
+//! (and vice versa).
 //!
-//! The [`Coordinator`] replicates [`ga_core::islands::IslandRing`]'s
-//! epoch loop *exactly* — evolve all shards, collect **all** bests,
-//! then inject best *k* into shard *(k+1) mod n*, then snapshot — so a
-//! multi-process [`CheckpointBundle`] is byte-identical to the
-//! in-process [`ga_engine::IslandsDriver`] one at the same barrier.
-//! Every barrier's bundle is flushed to the checkpoint file via
-//! write-to-temp + rename, so a coordinator killed mid-write leaves the
-//! previous complete checkpoint intact.
+//! The [`Coordinator`] runs the one island epoch loop,
+//! [`ga_core::islands::IslandRing`], over one connection per shard: each
+//! ring phase is one pipelined round (every request sent, then every
+//! reply read), so shards evolve concurrently and a multi-process
+//! [`CheckpointBundle`] is byte-identical to the in-process
+//! [`ga_engine::IslandsDriver`] one at the same barrier. Every
+//! barrier's bundle is flushed to the checkpoint file via write-to-temp
+//! and rename, so a coordinator killed mid-write leaves the previous
+//! complete checkpoint intact.
 
 use std::fs;
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 
-use ga_core::islands::{island_seed, IslandConfig, IslandRun};
+use ga_core::islands::{IslandMember, IslandRing, IslandRun, RingMember};
 use ga_core::snapshot::EngineSnapshot;
-use ga_core::{GaParams, Individual};
-use ga_engine::{CheckpointBundle, RunSpec};
+use ga_core::Individual;
+use ga_engine::{island_member, CheckpointBundle};
 
-use crate::job::{function_by_name, BackendKind, GaJob, Workload};
-use crate::jsonl::{as_int, as_str, escape_string, parse_object, read_wire_line, JsonValue};
+use crate::job::GaJob;
+use crate::jsonl::{
+    as_int, as_str, escape_string, job_from_pairs, job_line, parse_object, read_wire_line,
+    JsonValue,
+};
 
 /// Bind `addr`, announce `listening <addr>` on stdout (so `:0` is
 /// scriptable, mirroring `gaserved --listen`), accept **one**
@@ -75,18 +84,20 @@ pub fn serve_island_connection(stream: TcpStream) -> Result<(), String> {
         .try_clone()
         .map_err(|e| format!("cannot clone stream: {e}"))?;
     let mut reader = BufReader::new(stream);
-    let mut member: Option<Box<dyn ga_core::IslandMember>> = None;
+    let mut member: Option<Box<dyn IslandMember>> = None;
     let mut buf = Vec::new();
+    let mut line = 0usize;
     loop {
         let Some(read) =
             read_wire_line(&mut reader, &mut buf).map_err(|e| format!("read failed: {e}"))?
         else {
             return Ok(()); // coordinator went away; nothing to flush
         };
+        line += 1;
         if matches!(read, Ok(text) if text.trim().is_empty()) {
             continue;
         }
-        let (reply, done) = match read.and_then(|text| worker_op(text, &mut member)) {
+        let (reply, done) = match read.and_then(|text| worker_op(text, line - 1, &mut member)) {
             Ok((reply, done)) => (reply, done),
             Err(msg) => (
                 format!("{{\"ok\":false,\"error\":\"{}\"}}", escape_string(&msg)),
@@ -103,74 +114,31 @@ pub fn serve_island_connection(stream: TcpStream) -> Result<(), String> {
     }
 }
 
-/// Execute one op line against the worker's member slot. Returns the
-/// reply line and whether the connection is finished.
+/// Remove the first `key` pair from an op line and return its value.
+fn take(pairs: &mut Vec<(String, JsonValue)>, key: &str) -> Option<JsonValue> {
+    let i = pairs.iter().position(|(k, _)| k == key)?;
+    Some(pairs.remove(i).1)
+}
+
+/// Execute op line `line` (0-based wire position) against the worker's
+/// member slot. Returns the reply line and whether the connection is
+/// finished.
 fn worker_op(
     text: &str,
-    member: &mut Option<Box<dyn ga_core::IslandMember>>,
+    line: usize,
+    member: &mut Option<Box<dyn IslandMember>>,
 ) -> Result<(String, bool), String> {
-    let pairs = parse_object(text)?;
-    let field = |name: &str| -> Option<&JsonValue> {
-        pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-    };
-    let int = |name: &str, min: u64, max: u64| -> Result<u64, String> {
-        let v = field(name).ok_or_else(|| format!("missing key {name:?}"))?;
-        as_int(name, v, min, max)
-    };
-    let op = match field("op") {
-        Some(v) => as_str("op", v)?,
-        None => return Err("missing key \"op\"".into()),
-    };
+    let mut pairs = parse_object(text)?;
+    let op = as_str("op", &take(&mut pairs, "op").ok_or("missing key \"op\"")?)?;
+    let no_member = "no member: send \"init\" first";
     match op.as_str() {
         "init" => {
-            let fname = as_str("fn", field("fn").ok_or("missing key \"fn\"")?)?;
-            let function = function_by_name(&fname)
-                .ok_or_else(|| format!("unknown fitness function {fname:?}"))?;
-            let bname = as_str(
-                "backend",
-                field("backend").ok_or("missing key \"backend\"")?,
-            )?;
-            let backend =
-                BackendKind::parse(&bname).ok_or_else(|| format!("unknown backend {bname:?}"))?;
-            let islands = int("islands", 1, 1024)? as usize;
-            let shard = int("shard", 0, islands as u64 - 1)? as usize;
-            let seed = island_seed(int("seed", 0, u16::MAX as u64)? as u16, shard, islands);
-            let spec = RunSpec {
-                width: crate::job::CHROM_WIDTH,
-                workload: Workload::Function(function),
-                params: GaParams {
-                    pop_size: int("pop", 0, u8::MAX as u64)? as u8,
-                    n_gens: int("gens", 1, u32::MAX as u64)? as u32,
-                    xover_threshold: int("xover", 0, 255)? as u8,
-                    mut_threshold: int("mut", 0, 255)? as u8,
-                    seed,
-                },
-                deadline_ms: None,
-            };
-            let engine = ga_engine::global()
-                .get(backend)
-                .ok_or_else(|| format!("backend {bname} is not registered"))?;
-            let prepared = engine.prepare(spec).map_err(|e| e.to_string())?;
-            let mut m = engine
-                .stepper(&prepared)
-                .ok_or_else(|| format!("backend {bname} has no stepping handle"))?;
-            match field("snapshot") {
-                // Resume path: install the checkpointed state instead of
-                // drawing an initial population.
-                Some(v) => {
-                    let hex = as_str("snapshot", v)?;
-                    let snap =
-                        EngineSnapshot::from_hex(&hex).map_err(|e| format!("snapshot: {e}"))?;
-                    m.restore(&snap).map_err(|e| format!("restore: {e}"))?;
-                }
-                None => m.init_population(),
-            }
-            *member = Some(m);
-            Ok((format!("{{\"ok\":true,\"seed\":{seed}}}"), false))
+            *member = Some(init_member(pairs, line)?);
+            Ok(("{\"ok\":true}".into(), false))
         }
         "epoch" => {
-            let gens = int("gens", 1, u32::MAX as u64)? as u32;
-            let m = member.as_mut().ok_or("no member: send \"init\" first")?;
+            let gens = int_field(&pairs, "gens", u32::MAX as u64)?;
+            let m = member.as_mut().ok_or(no_member)?;
             for _ in 0..gens {
                 m.step_generation();
             }
@@ -184,23 +152,19 @@ fn worker_op(
             ))
         }
         "inject" => {
-            let migrant = Individual {
-                chrom: int("chrom", 0, u16::MAX as u64)? as u16,
-                fitness: int("fitness", 0, u16::MAX as u64)? as u16,
-            };
-            let m = member.as_mut().ok_or("no member: send \"init\" first")?;
-            m.inject(migrant);
+            let migrant = best_field(&pairs)?;
+            member.as_mut().ok_or(no_member)?.inject(migrant);
             Ok(("{\"ok\":true}".into(), false))
         }
         "snapshot" => {
-            let m = member.as_ref().ok_or("no member: send \"init\" first")?;
+            let m = member.as_ref().ok_or(no_member)?;
             Ok((
                 format!("{{\"ok\":true,\"snapshot\":\"{}\"}}", m.snapshot().to_hex()),
                 false,
             ))
         }
         "finish" => {
-            let m = member.as_ref().ok_or("no member: send \"init\" first")?;
+            let m = member.as_ref().ok_or(no_member)?;
             let b = m.best();
             Ok((
                 format!(
@@ -216,7 +180,37 @@ fn worker_op(
     }
 }
 
-/// One coordinator↔worker connection.
+/// The `init` op: the island job's request-line keys (parsed and
+/// validated as on the JSONL wire), the worker's `shard`, and an
+/// optional `snapshot` to restore instead of drawing an initial
+/// population.
+fn init_member(
+    mut pairs: Vec<(String, JsonValue)>,
+    line: usize,
+) -> Result<Box<dyn IslandMember>, String> {
+    let shard = take(&mut pairs, "shard").ok_or("missing key \"shard\"")?;
+    let snapshot = take(&mut pairs, "snapshot");
+    let job = job_from_pairs(pairs, line).map_err(|e| e.to_string())?;
+    job.validate().map_err(|e| e.to_string())?;
+    let config = job.islands.ok_or("init needs an island job")?;
+    let shard = as_int("shard", &shard, 0, config.islands as u64 - 1)? as usize;
+    let engine = ga_engine::global()
+        .get(job.backend)
+        .ok_or_else(|| format!("backend {} is not registered", job.backend.name()))?;
+    let mut m =
+        island_member(engine, &job.spec(), shard, config.islands).map_err(|e| e.to_string())?;
+    match snapshot {
+        Some(v) => {
+            let snap = EngineSnapshot::from_hex(&as_str("snapshot", &v)?)
+                .map_err(|e| format!("snapshot: {e}"))?;
+            m.restore(&snap).map_err(|e| format!("restore: {e}"))?;
+        }
+        None => m.init_population(),
+    }
+    Ok(m)
+}
+
+/// One coordinator↔worker connection: a remote ring member.
 struct ShardConn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -239,7 +233,7 @@ impl ShardConn {
         self.writer
             .write_all(format!("{line}\n").as_bytes())
             .and_then(|_| self.writer.flush())
-            .map_err(|e| format!("shard write failed: {e}"))
+            .map_err(|e| format!("write failed: {e}"))
     }
 
     /// Read one reply line; an `"ok":false` reply surfaces the worker's
@@ -248,51 +242,119 @@ impl ShardConn {
     fn recv(&mut self) -> Result<Vec<(String, JsonValue)>, String> {
         let mut buf = Vec::new();
         let text = read_wire_line(&mut self.reader, &mut buf)
-            .map_err(|e| format!("shard read failed: {e}"))?
-            .ok_or("shard connection closed")?
-            .map_err(|msg| format!("shard reply rejected: {msg}"))?;
+            .map_err(|e| format!("read failed: {e}"))?
+            .ok_or("connection closed")?
+            .map_err(|msg| format!("reply rejected: {msg}"))?;
         let pairs = parse_object(text)?;
-        match pairs.iter().find(|(k, _)| k == "ok") {
-            Some((_, JsonValue::Bool(true))) => Ok(pairs),
-            _ => {
-                let msg = pairs
-                    .iter()
-                    .find(|(k, _)| k == "error")
-                    .and_then(|(_, v)| match v {
-                        JsonValue::Str(s) => Some(s.clone()),
-                        _ => None,
-                    })
-                    .unwrap_or_else(|| "worker refused the op".into());
-                Err(format!("worker error: {msg}"))
-            }
+        if matches!(field(&pairs, "ok"), Ok(JsonValue::Bool(true))) {
+            return Ok(pairs);
         }
+        let msg = field(&pairs, "error").and_then(|v| as_str("error", v));
+        Err(format!(
+            "worker error: {}",
+            msg.as_deref().unwrap_or("worker refused the op")
+        ))
     }
 }
 
-fn reply_int(pairs: &[(String, JsonValue)], key: &str) -> Result<u64, String> {
-    let v = pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("worker reply missing {key:?}"))?;
-    as_int(key, v, 0, u64::MAX)
+/// One pipelined round over the ring: send `line(k)` to every shard,
+/// then read and decode every reply in ring order. Errors name the
+/// shard they came from.
+fn round<T>(
+    shards: &mut [ShardConn],
+    line: impl Fn(usize) -> String,
+    reply: impl Fn(&[(String, JsonValue)]) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    for (k, s) in shards.iter_mut().enumerate() {
+        s.send(&line(k)).map_err(|e| format!("shard {k}: {e}"))?;
+    }
+    shards
+        .iter_mut()
+        .enumerate()
+        .map(|(k, s)| {
+            s.recv()
+                .and_then(|pairs| reply(&pairs))
+                .map_err(|e| format!("shard {k}: {e}"))
+        })
+        .collect()
 }
 
-/// The ring coordinator: owns one [`ShardConn`] per island worker,
-/// drives the epoch/migrate/snapshot loop in [`IslandRing`] order, and
-/// flushes every barrier's [`CheckpointBundle`] to `checkpoint_path`
-/// (write-temp-then-rename, so a mid-write crash never corrupts the
-/// last good checkpoint).
-///
-/// [`IslandRing`]: ga_core::islands::IslandRing
+/// The value of `key` in a flat op or reply object.
+fn field<'p>(pairs: &'p [(String, JsonValue)], key: &str) -> Result<&'p JsonValue, String> {
+    let pair = pairs.iter().find(|(k, _)| k == key);
+    pair.map(|(_, v)| v)
+        .ok_or_else(|| format!("missing key {key:?}"))
+}
+
+fn int_field(pairs: &[(String, JsonValue)], key: &str, max: u64) -> Result<u64, String> {
+    as_int(key, field(pairs, key)?, 0, max)
+}
+
+/// The `chrom`/`fitness` pair of an `inject` op or an `epoch`/`finish`
+/// reply.
+fn best_field(pairs: &[(String, JsonValue)]) -> Result<Individual, String> {
+    Ok(Individual {
+        chrom: int_field(pairs, "chrom", u16::MAX as u64)? as u16,
+        fitness: int_field(pairs, "fitness", u16::MAX as u64)? as u16,
+    })
+}
+
+impl RingMember for ShardConn {
+    type Error = String;
+
+    fn evolve_all(shards: &mut [Self], gens: u32) -> Result<Vec<Individual>, String> {
+        round(
+            shards,
+            |_| format!("{{\"op\":\"epoch\",\"gens\":{gens}}}"),
+            best_field,
+        )
+    }
+
+    fn inject_all(shards: &mut [Self], migrants: &[Individual]) -> Result<(), String> {
+        let line = |k: usize| {
+            let m = migrants[k];
+            format!(
+                "{{\"op\":\"inject\",\"chrom\":{},\"fitness\":{}}}",
+                m.chrom, m.fitness
+            )
+        };
+        round(shards, line, |_| Ok(())).map(drop)
+    }
+
+    fn snapshot_all(shards: &mut [Self]) -> Result<Vec<EngineSnapshot>, String> {
+        round(
+            shards,
+            |_| "{\"op\":\"snapshot\"}".into(),
+            |pairs| {
+                let hex = as_str("snapshot", field(pairs, "snapshot")?)?;
+                EngineSnapshot::from_hex(&hex).map_err(|e| format!("snapshot: {e}"))
+            },
+        )
+    }
+
+    fn finish_all(shards: &mut [Self]) -> Result<Vec<(Individual, u64)>, String> {
+        round(
+            shards,
+            |_| "{\"op\":\"finish\"}".into(),
+            |pairs| {
+                Ok((
+                    best_field(pairs)?,
+                    int_field(pairs, "evaluations", u64::MAX)?,
+                ))
+            },
+        )
+    }
+}
+
+/// The ring coordinator: the island epoch loop ([`IslandRing`]) over
+/// one [`ShardConn`] per island worker, flushing every barrier's
+/// [`CheckpointBundle`] to `checkpoint_path` (write-temp-then-rename,
+/// so a mid-write crash never corrupts the last good checkpoint).
 pub struct Coordinator {
-    config: IslandConfig,
-    shards: Vec<ShardConn>,
-    epochs_done: u32,
+    ring: IslandRing<ShardConn>,
     checkpoint_path: PathBuf,
-    /// Migrant transfers performed so far (one per island per barrier
-    /// on rings larger than one).
-    pub migrations: u64,
+    /// The barrier the ring was connected at (non-zero on resume).
+    connected_at: u32,
 }
 
 impl Coordinator {
@@ -309,9 +371,6 @@ impl Coordinator {
     ) -> Result<Self, String> {
         let config = job.islands.ok_or("job carries no island schedule")?;
         job.validate().map_err(|e| e.to_string())?;
-        let Workload::Function(function) = job.workload else {
-            return Err("island workers evolve fitness functions only".into());
-        };
         if addrs.len() != config.islands {
             return Err(format!(
                 "{} worker addrs for {} islands",
@@ -319,155 +378,67 @@ impl Coordinator {
                 config.islands
             ));
         }
-        let epochs_done = match resume {
-            Some(bundle) => {
-                if bundle.config != config {
-                    return Err(format!(
-                        "checkpoint was taken under a different island config \
-                         ({:?} vs {:?})",
-                        bundle.config, config
-                    ));
-                }
-                if bundle.members.len() != config.islands {
-                    return Err(format!(
-                        "checkpoint has {} member snapshots for {} islands",
-                        bundle.members.len(),
-                        config.islands
-                    ));
-                }
-                bundle.epochs_done
-            }
-            None => 0,
-        };
-        let mut shards = Vec::with_capacity(config.islands);
-        for (k, addr) in addrs.iter().enumerate() {
-            let mut conn = ShardConn::connect(addr)?;
-            let mut init = format!(
-                "{{\"op\":\"init\",\"fn\":\"{}\",\"backend\":\"{}\",\"pop\":{},\"gens\":{},\
-                 \"xover\":{},\"mut\":{},\"seed\":{},\"islands\":{},\"shard\":{k}",
-                function.name(),
-                job.backend.name(),
-                job.params.pop_size,
-                job.params.n_gens,
-                job.params.xover_threshold,
-                job.params.mut_threshold,
-                job.params.seed,
-                config.islands,
-            );
-            if let Some(bundle) = resume {
-                init.push_str(&format!(",\"snapshot\":\"{}\"", bundle.members[k].to_hex()));
-            }
-            init.push('}');
-            conn.send(&init)?;
-            conn.recv()?;
-            shards.push(conn);
+        if let Some(bundle) = resume {
+            bundle.check(config).map_err(|e| e.to_string())?;
         }
+        let mut shards = addrs
+            .iter()
+            .enumerate()
+            .map(|(k, addr)| ShardConn::connect(addr).map_err(|e| format!("shard {k}: {e}")))
+            .collect::<Result<Vec<_>, _>>()?;
+        let job_keys = job_line(job);
+        let job_keys = &job_keys[1..job_keys.len() - 1];
+        let init = |k: usize| {
+            let snapshot = resume.map_or(String::new(), |b| {
+                format!(",\"snapshot\":\"{}\"", b.members[k].to_hex())
+            });
+            format!("{{\"op\":\"init\",{job_keys},\"shard\":{k}{snapshot}}}")
+        };
+        round(&mut shards, init, |_| Ok(()))?;
+        let connected_at = resume.map_or(0, |b| b.epochs_done);
         Ok(Coordinator {
-            config,
-            shards,
-            epochs_done,
+            ring: IslandRing::new(config, shards, connected_at),
             checkpoint_path: checkpoint_path.to_path_buf(),
-            migrations: 0,
+            connected_at,
         })
     }
 
-    /// One epoch barrier: evolve every shard (requests are pipelined —
-    /// all sends, then all replies — so shards run concurrently),
-    /// collect **all** bests, route best *k* to shard *(k+1) mod n*,
-    /// snapshot everyone, flush the bundle to the checkpoint file.
+    /// One epoch barrier: the ring step (evolve, migrate), then the
+    /// barrier's bundle, flushed to the checkpoint file. Errors name
+    /// the epoch and the shard.
     pub fn step_epoch(&mut self) -> Result<CheckpointBundle, String> {
-        let epoch_line = format!("{{\"op\":\"epoch\",\"gens\":{}}}", self.config.epoch);
-        for s in &mut self.shards {
-            s.send(&epoch_line)?;
-        }
-        let mut bests = Vec::with_capacity(self.shards.len());
-        for s in &mut self.shards {
-            let pairs = s.recv()?;
-            bests.push(Individual {
-                chrom: reply_int(&pairs, "chrom")? as u16,
-                fitness: reply_int(&pairs, "fitness")? as u16,
-            });
-        }
-        if self.config.islands > 1 {
-            // All bests are already collected — injections cannot leak
-            // a migrant into a later shard's outgoing best, exactly like
-            // the in-process ring's two-phase migration.
-            for (k, b) in bests.iter().enumerate() {
-                let dst = (k + 1) % self.config.islands;
-                self.shards[dst].send(&format!(
-                    "{{\"op\":\"inject\",\"chrom\":{},\"fitness\":{}}}",
-                    b.chrom, b.fitness
-                ))?;
-            }
-            for s in &mut self.shards {
-                s.recv()?;
-            }
-            self.migrations += self.config.islands as u64;
-        }
-        let mut members = Vec::with_capacity(self.shards.len());
-        for s in &mut self.shards {
-            s.send("{\"op\":\"snapshot\"}")?;
-        }
-        for s in &mut self.shards {
-            let pairs = s.recv()?;
-            let hex = pairs
-                .iter()
-                .find(|(k, _)| k == "snapshot")
-                .and_then(|(_, v)| match v {
-                    JsonValue::Str(s) => Some(s.as_str()),
-                    _ => None,
-                })
-                .ok_or("worker reply missing \"snapshot\"")?;
-            members.push(EngineSnapshot::from_hex(hex).map_err(|e| format!("snapshot: {e}"))?);
-        }
-        self.epochs_done += 1;
-        let bundle = CheckpointBundle {
-            config: self.config,
-            epochs_done: self.epochs_done,
-            members,
-        };
+        let epoch = self.ring.epochs_done() + 1;
+        let at = |e: String| format!("epoch {epoch}: {e}");
+        self.ring.step_epoch().map_err(at)?;
+        let bundle = CheckpointBundle::capture(&mut self.ring).map_err(at)?;
         write_checkpoint(&self.checkpoint_path, &bundle)?;
         Ok(bundle)
     }
 
     /// Epoch barriers crossed so far (counting the resumed-from ones).
     pub fn epochs_done(&self) -> u32 {
-        self.epochs_done
+        self.ring.epochs_done()
     }
 
     /// True once every configured epoch has run.
     pub fn done(&self) -> bool {
-        self.epochs_done >= self.config.epochs
+        self.ring.done()
     }
 
-    /// Finish every shard and fold the ring result — same tie-breaking
-    /// as [`IslandRing::finish`] (later islands win fitness ties).
-    ///
-    /// [`IslandRing::finish`]: ga_core::islands::IslandRing::finish
-    pub fn finish(mut self) -> Result<IslandRun, String> {
-        for s in &mut self.shards {
-            s.send("{\"op\":\"finish\"}")?;
+    /// Migrant transfers since connect: one per island per barrier on
+    /// rings larger than one.
+    pub fn migrations(&self) -> u64 {
+        let islands = self.ring.config().islands as u64;
+        if islands > 1 {
+            u64::from(self.ring.epochs_done() - self.connected_at) * islands
+        } else {
+            0
         }
-        let mut island_best = Vec::with_capacity(self.shards.len());
-        let mut evaluations = 0u64;
-        for s in &mut self.shards {
-            let pairs = s.recv()?;
-            island_best.push(Individual {
-                chrom: reply_int(&pairs, "chrom")? as u16,
-                fitness: reply_int(&pairs, "fitness")? as u16,
-            });
-            evaluations += reply_int(&pairs, "evaluations")?;
-        }
-        let best = island_best
-            .iter()
-            .copied()
-            .max_by_key(|i| i.fitness)
-            .ok_or("no shards")?;
-        Ok(IslandRun {
-            best,
-            island_best,
-            evaluations,
-        })
+    }
+
+    /// Finish every shard and fold the ring result.
+    pub fn finish(self) -> Result<IslandRun, String> {
+        self.ring.finish()
     }
 }
 
@@ -500,6 +471,9 @@ pub fn read_checkpoint(path: &Path) -> Result<CheckpointBundle, String> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::job::BackendKind;
+    use ga_core::islands::IslandConfig;
+    use ga_core::GaParams;
     use ga_fitness::TestFunction;
     use std::io::BufRead;
     use std::thread::JoinHandle;
@@ -519,13 +493,17 @@ mod tests {
     }
 
     fn island_job(backend: BackendKind) -> GaJob {
+        ring_job(backend, 3)
+    }
+
+    fn ring_job(backend: BackendKind, islands: usize) -> GaJob {
         GaJob::new(
             TestFunction::Bf6,
             backend,
             GaParams::new(16, 12, 10, 1, 0x2961),
         )
         .with_islands(IslandConfig {
-            islands: 3,
+            islands,
             epoch: 4,
             epochs: 3,
         })
@@ -537,33 +515,38 @@ mod tests {
 
     #[test]
     fn multi_process_ring_matches_the_in_process_driver_barrier_for_barrier() {
-        let job = island_job(BackendKind::Behavioral);
-        let config = job.islands.unwrap();
-        let engine = ga_engine::global().get(job.backend).unwrap();
-        let composite = ga_engine::IslandsEngine::new(engine, config).expect("steps");
-        let mut reference = composite.start(job.spec()).expect("starts");
+        // Ring size 1 exercises the no-migration branch on remote
+        // members; 2 and 3 the ring rotation.
+        for islands in 1..=3 {
+            let job = ring_job(BackendKind::Behavioral, islands);
+            let config = job.islands.unwrap();
+            let engine = ga_engine::global().get(job.backend).unwrap();
+            let composite = ga_engine::IslandsEngine::new(engine, config).expect("steps");
+            let mut reference = composite.start(job.spec()).expect("starts");
 
-        let path = ckpt_path("match");
-        let (addrs, workers) = spawn_ring(config.islands);
-        let mut coord = Coordinator::connect(&job, &addrs, &path, None).expect("connects");
-        while !coord.done() {
-            let ours = coord.step_epoch().expect("epoch");
-            let theirs = reference.step_epoch();
-            assert_eq!(
-                ours, theirs,
-                "barrier {} bundle diverged from the in-process driver",
-                ours.epochs_done
-            );
-            // The durable file holds exactly the latest barrier.
-            assert_eq!(read_checkpoint(&path).expect("readable"), ours);
+            let path = ckpt_path(&format!("match{islands}"));
+            let (addrs, workers) = spawn_ring(config.islands);
+            let mut coord = Coordinator::connect(&job, &addrs, &path, None).expect("connects");
+            while !coord.done() {
+                let ours = coord.step_epoch().expect("epoch");
+                let theirs = reference.step_epoch();
+                assert_eq!(
+                    ours, theirs,
+                    "{islands}-ring barrier {} bundle diverged from the in-process driver",
+                    ours.epochs_done
+                );
+                // The durable file holds exactly the latest barrier.
+                assert_eq!(read_checkpoint(&path).expect("readable"), ours);
+            }
+            let expected = if islands > 1 { 3 * islands as u64 } else { 0 };
+            assert_eq!(coord.migrations(), expected, "{islands}-ring migrations");
+            let run = coord.finish().expect("finishes");
+            assert_eq!(run, reference.finish());
+            for w in workers {
+                w.join().expect("worker thread").expect("worker ok");
+            }
+            let _ = fs::remove_file(&path);
         }
-        assert_eq!(coord.migrations, 3 * 3);
-        let run = coord.finish().expect("finishes");
-        assert_eq!(run, reference.finish());
-        for w in workers {
-            w.join().expect("worker thread").expect("worker ok");
-        }
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
@@ -599,9 +582,11 @@ mod tests {
         let mut coord =
             Coordinator::connect(&resumed_job, &addrs, &path, Some(&bundle)).expect("reconnects");
         assert_eq!(coord.epochs_done(), 1);
+        assert_eq!(coord.migrations(), 0, "migrations count from connect");
         while !coord.done() {
             coord.step_epoch().expect("epoch");
         }
+        assert_eq!(coord.migrations(), 2 * 3);
         assert_eq!(coord.finish().expect("finishes"), reference);
         for w in workers {
             w.join().expect("worker thread").expect("worker ok");
@@ -630,7 +615,8 @@ mod tests {
         for retired in ["bitsim128", "bitsim256"] {
             let init = format!(
                 "{{\"op\":\"init\",\"fn\":\"BF6\",\"backend\":\"{retired}\",\"pop\":16,\
-                 \"gens\":4,\"xover\":10,\"mut\":1,\"seed\":1,\"islands\":1,\"shard\":0}}"
+                 \"gens\":4,\"xover\":10,\"mut\":1,\"seed\":1,\"islands\":1,\"epoch\":4,\"epochs\":1,\
+                 \"shard\":0}}"
             );
             let reply = call(&init);
             assert!(
@@ -638,15 +624,28 @@ mod tests {
                 "{reply}"
             );
         }
+        // The job keys are the JSONL wire's: a schedule that disagrees
+        // with gens is refused exactly as gaserved refuses it.
+        let mismatch = "{\"op\":\"init\",\"fn\":\"BF6\",\"backend\":\"behavioral\",\"pop\":16,\
+                        \"gens\":5,\"xover\":10,\"mut\":1,\"seed\":10593,\"islands\":1,\
+                        \"epoch\":4,\"epochs\":1,\"shard\":0}";
+        let reply = call(mismatch);
+        assert!(
+            reply.starts_with("{\"ok\":false,")
+                && reply.contains("invalid job: gens 5 disagrees with the island schedule"),
+            "{reply}"
+        );
+        assert!(call("{\"op\":\"epoch\",\"gens\":1}").contains("send \\\"init\\\" first"));
         let init = "{\"op\":\"init\",\"fn\":\"BF6\",\"backend\":\"behavioral\",\"pop\":16,\
-                    \"gens\":4,\"xover\":10,\"mut\":1,\"seed\":10593,\"islands\":1,\"shard\":0}";
-        assert!(call(init).contains("\"ok\":true"));
+                    \"gens\":4,\"xover\":10,\"mut\":1,\"seed\":10593,\"islands\":1,\
+                    \"epoch\":4,\"epochs\":1,\"shard\":0}";
+        assert_eq!(call(init), "{\"ok\":true}");
         assert!(call("{\"op\":\"epoch\",\"gens\":4}").contains("\"fitness\""));
         // A snapshot that does not decode is typed, not fatal.
         assert!(call(
             "{\"op\":\"init\",\"fn\":\"BF6\",\"backend\":\"behavioral\",\"pop\":16,\
-                      \"gens\":4,\"xover\":10,\"mut\":1,\"seed\":1,\"islands\":1,\"shard\":0,\
-                      \"snapshot\":\"zz\"}"
+                      \"gens\":4,\"xover\":10,\"mut\":1,\"seed\":1,\"islands\":1,\
+                      \"epoch\":4,\"epochs\":1,\"shard\":0,\"snapshot\":\"zz\"}"
         )
         .contains("snapshot"));
         assert!(call("{\"op\":\"finish\"}").contains("\"evaluations\""));
@@ -674,7 +673,8 @@ mod tests {
         assert!(call(&huge).contains("exceeds the 65536-byte limit"));
         assert!(call(b"{\"op\":\"\xff\"}\n").contains("not valid UTF-8"));
         let init = b"{\"op\":\"init\",\"fn\":\"BF6\",\"backend\":\"behavioral\",\"pop\":16,\
-                     \"gens\":4,\"xover\":10,\"mut\":1,\"seed\":1,\"islands\":1,\"shard\":0}\n";
+                     \"gens\":4,\"xover\":10,\"mut\":1,\"seed\":1,\"islands\":1,\
+                     \"epoch\":4,\"epochs\":1,\"shard\":0}\n";
         assert!(call(init).contains("\"ok\":true"));
         assert!(call(b"{\"op\":\"finish\"}\n").contains("\"evaluations\""));
         worker.join().expect("thread").expect("clean exit");

@@ -65,6 +65,10 @@ pub struct GaJob {
     pub islands: Option<IslandConfig>,
 }
 
+/// Jobs in one group may share a pack: same backend, same
+/// [`GaJob::pack_key`].
+pub(crate) type PackGroup = (BackendKind, (u8, u32));
+
 impl GaJob {
     /// A 16-bit job with no deadline.
     pub fn new(function: TestFunction, backend: BackendKind, params: GaParams) -> Self {
@@ -182,6 +186,20 @@ impl GaJob {
     /// draw count per generation is a function of `pop_size` alone).
     pub fn pack_key(&self) -> (u8, u32) {
         (self.params.pop_size, self.params.n_gens)
+    }
+
+    /// The pack this job may join — its `(backend, pack_key)` group and
+    /// the backend's pack width — or `None` when it must run solo: its
+    /// backend has no lanes, it is invalid (it must surface its own
+    /// typed error), or it is an island job (its ring owns its own lane
+    /// streams). The one packability rule both planners apply.
+    pub(crate) fn pack_group(&self) -> Option<(PackGroup, usize)> {
+        let width = ga_engine::global()
+            .get(self.backend)?
+            .capabilities()
+            .pack_width;
+        (width > 1 && self.islands.is_none() && self.validate().is_ok())
+            .then(|| ((self.backend, self.pack_key()), width))
     }
 }
 

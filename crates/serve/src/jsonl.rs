@@ -298,8 +298,19 @@ pub fn read_wire_line<'b>(
 /// Parse one request line into a [`GaJob`]. `line` is the 0-based input
 /// line number, echoed in [`ServeError::Parse`] diagnostics.
 pub fn parse_job(text: &str, line: usize) -> Result<GaJob, ServeError> {
+    let pairs = parse_object(text).map_err(|msg| ServeError::Parse { line, msg })?;
+    job_from_pairs(pairs, line)
+}
+
+/// The pair-level half of [`parse_job`]: build a [`GaJob`] from an
+/// already-parsed flat object. Island workers call it on their `init`
+/// op once the op's own keys are taken out, so a worker accepts exactly
+/// the job fields the JSONL wire accepts.
+pub(crate) fn job_from_pairs(
+    pairs: Vec<(String, JsonValue)>,
+    line: usize,
+) -> Result<GaJob, ServeError> {
     let perr = |msg: String| ServeError::Parse { line, msg };
-    let pairs = parse_object(text).map_err(perr)?;
 
     // A duplicated key means one of the two values silently loses;
     // reject the line instead of guessing which one was meant.
@@ -447,8 +458,8 @@ pub(crate) fn as_int(key: &str, v: &JsonValue, min: u64, max: u64) -> Result<u64
     Ok(*n as u64)
 }
 
-/// Serialize a [`GaJob`] as one request line (fixture generation and
-/// round-trip tests).
+/// Serialize a [`GaJob`] as one request line (fixture generation,
+/// round-trip tests, and the job keys of an island worker's `init` op).
 pub fn job_line(job: &GaJob) -> String {
     let mut out = String::from("{");
     match job.workload {

@@ -459,20 +459,12 @@ fn worker_loop(shared: &Arc<Shared>) -> ServeStats {
     let mut stats = ServeStats::default();
     while let Some(first) = shared.queue.pop() {
         let mut items = vec![first];
-        let job0 = items[0].job;
-        let pack_width = ga_engine::global()
-            .get(job0.backend)
-            .map(|e| e.capabilities().pack_width)
-            .unwrap_or(1);
-        if pack_width > 1 && job0.validate().is_ok() {
-            let key = (job0.backend, job0.pack_key());
+        if let Some((key, pack_width)) = items[0].job.pack_group() {
             items.extend(shared.queue.take_matching(
-                |it| {
-                    it.job.backend == key.0
-                        && it.job.pack_key() == key.1
-                        && it.job.validate().is_ok()
-                },
-                pack_width as usize - 1,
+                // The backend test is a cheap pre-filter: the scan
+                // holds the queue lock.
+                |it| it.job.backend == key.0 && it.job.pack_group().is_some_and(|(k, _)| k == key),
+                pack_width - 1,
             ));
         }
         let jobs: Vec<GaJob> = items.iter().map(|it| it.job).collect();

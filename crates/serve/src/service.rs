@@ -11,7 +11,7 @@ use ga_bench::{default_threads, lane_chunks, run_sweep, BenchReport, Stopwatch};
 use ga_engine::{BitSim64Engine, Engine};
 
 use crate::backend;
-use crate::job::{BackendKind, GaJob, JobResult, ServeError};
+use crate::job::{BackendKind, GaJob, JobResult, PackGroup, ServeError};
 
 /// Retry policy for *transient* job failures (worker panics caught at
 /// the pool boundary). Deterministic errors — validation, watchdogs,
@@ -457,22 +457,15 @@ pub(crate) enum Unit {
 /// packable jobs, which must surface their own typed error, and island
 /// jobs, whose ring already owns its own lane streams — runs solo.
 fn plan_units(jobs: &[GaJob]) -> Vec<Unit> {
-    type PackGroup = ((BackendKind, (u8, u32)), usize, Vec<usize>);
     let mut units = Vec::new();
-    let mut groups: Vec<PackGroup> = Vec::new();
+    let mut groups: Vec<(PackGroup, usize, Vec<usize>)> = Vec::new();
     for (i, job) in jobs.iter().enumerate() {
-        let pack_width = ga_engine::global()
-            .get(job.backend)
-            .map(|e| e.capabilities().pack_width)
-            .unwrap_or(1);
-        if pack_width > 1 && job.islands.is_none() && job.validate().is_ok() {
-            let key = (job.backend, job.pack_key());
-            match groups.iter_mut().find(|(k, _, _)| *k == key) {
+        match job.pack_group() {
+            Some((key, pack_width)) => match groups.iter_mut().find(|(k, _, _)| *k == key) {
                 Some((_, _, members)) => members.push(i),
                 None => groups.push((key, pack_width, vec![i])),
-            }
-        } else {
-            units.push(Unit::Solo(i));
+            },
+            None => units.push(Unit::Solo(i)),
         }
     }
     for (_, pack_width, members) in groups {

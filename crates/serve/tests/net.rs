@@ -351,3 +351,66 @@ fn shed_mode_answers_queue_full_when_the_queue_is_at_capacity() {
     assert_eq!(summary.admission.shed_queue_full, 3);
     assert_eq!(summary.stats.jobs(), 2);
 }
+
+/// Gate for the island-packing test's parking hook.
+static PARK_ISLAND: AtomicBool = AtomicBool::new(false);
+
+fn park_until_released(_: usize, _: &GaJob) {
+    while PARK_ISLAND.load(Ordering::SeqCst) {
+        thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn island_jobs_never_join_a_socket_pack() {
+    // One worker parked on a first job while an island bitsim64 job and
+    // its plain twin (same pack key, no island keys) queue up behind
+    // it. When the worker pops the island job it must not widen it into
+    // a pack with the twin: the island reply must be the batch golden.
+    let mut cfg = NetConfig::default();
+    cfg.serve.threads = 1;
+    cfg.serve.pre_exec = Some(park_until_released);
+    PARK_ISLAND.store(true, Ordering::SeqCst);
+    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
+    let addr = server.local_addr();
+
+    let island = fixture_lines()[32].clone();
+    assert!(island.contains("\"backend\":\"bitsim64\"") && island.contains("\"islands\":3"));
+    let plain = island.replace(",\"islands\":3,\"epoch\":4,\"epochs\":3", "");
+    let lines = [fixture_lines()[0].clone(), island, plain];
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut write_half = stream.try_clone().expect("clone");
+    for line in &lines {
+        write_half
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+    }
+    write_half.flush().expect("flush");
+    thread::sleep(Duration::from_millis(100)); // let the reader queue both
+    PARK_ISLAND.store(false, Ordering::SeqCst);
+    let _ = write_half.shutdown(std::net::Shutdown::Write);
+    let got: Vec<String> = BufReader::new(stream)
+        .lines()
+        .map(|l| l.expect("read response"))
+        .collect();
+
+    let golden = golden_lines();
+    assert_eq!(got.len(), 3);
+    assert_eq!(got[0], golden[0]);
+    assert_eq!(
+        got[1],
+        golden[32].replacen("{\"job\":32,", "{\"job\":1,", 1),
+        "the island job ran as a pack lane"
+    );
+    assert!(
+        got[2].starts_with("{\"job\":2,\"backend\":\"bitsim64\",\"ok\":true,"),
+        "{}",
+        got[2]
+    );
+    let summary = server.drain();
+    assert_eq!(
+        summary.stats.packs, 0,
+        "nothing may pack with an island job"
+    );
+}
