@@ -20,6 +20,13 @@ echo "== perfbench build + tests (its own workspace, built against the repo's cr
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench batch-heavy smoke (2 s, every served answer checked)"
+# Every served answer is checked byte for byte against a single-threaded
+# reference — exact RTL cycles and full trajectories included — while
+# the 2 serve threads race the lazy first build of the shared fitness
+# ROMs. Any wrong, missing or untyped answer exits nonzero.
+./perfbench/target/release/perfbench --workload batch-heavy --seconds 2 --trace 0 > /dev/null
+
 echo "== galint --format json"
 cargo run -q --release -p galint --bin galint -- --format json
 

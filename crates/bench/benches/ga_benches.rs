@@ -12,7 +12,6 @@ use std::hint::black_box;
 use carng::{CaRng, Lfsr16, Rng16};
 use ga_core::{GaEngine, GaParams, GaSystem};
 use ga_fitness::fem::{Fem, FemIn};
-use ga_fitness::rom::FitnessRom;
 use ga_fitness::{CordicFem, FemBank, FemSlot, LookupFem, TestFunction};
 use hwsim::Clocked;
 use swga::{CountingGa, PpcCostModel};
@@ -46,7 +45,7 @@ fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("behavioral_engine");
     for pop in [32u8, 64, 128] {
         g.bench_with_input(BenchmarkId::new("one_generation", pop), &pop, |b, &pop| {
-            let rom = FitnessRom::tabulate(TestFunction::Mbf6_2);
+            let rom = TestFunction::Mbf6_2.rom();
             let params = GaParams::new(pop, 1, 10, 1, 0x2961);
             b.iter(|| {
                 let mut e = GaEngine::new(params, CaRng::new(params.seed), |c| rom.lookup(c));
@@ -214,7 +213,7 @@ fn bench_synthesis(c: &mut Criterion) {
 fn bench_software_model(c: &mut Criterion) {
     let mut g = c.benchmark_group("software_cost_model");
     g.bench_function("counting_ga_pop32_gen32", |b| {
-        let rom = FitnessRom::tabulate(TestFunction::Mbf6_2);
+        let rom = TestFunction::Mbf6_2.rom();
         let params = GaParams::new(32, 32, 10, 1, 0x2961);
         let model = PpcCostModel::default();
         b.iter(|| {

@@ -122,6 +122,9 @@ pub struct GaEngine<R: Rng16, F: FnMut(u16) -> u16> {
     rng: R,
     fitness: F,
     cur: Vec<Individual>,
+    /// Prefix sums of `cur`'s fitness ([`ops::prefix_sums`]), rebuilt at
+    /// the top of every [`GaEngine::step_generation`] — their only use.
+    prefix: Vec<u32>,
     best: Individual,
     fit_sum: u32,
     gen: u32,
@@ -141,6 +144,7 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
             rng,
             fitness,
             cur: Vec::with_capacity(params.pop_size as usize),
+            prefix: Vec::with_capacity(params.pop_size as usize),
             best: Individual::default(),
             fit_sum: 0,
             gen: 0,
@@ -221,26 +225,23 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
     }
 
     /// Proportionate selection over the current population: one RNG
-    /// draw scales the fitness sum down to a threshold; the scan picks
-    /// the first individual whose cumulative fitness exceeds it. If no
-    /// individual does (all-zero fitness), the last one is returned.
+    /// draw scales the fitness sum down to a threshold, and
+    /// [`ops::select_index`] binary-searches the generation's prefix
+    /// sums for the first individual whose cumulative fitness exceeds
+    /// it (the last one if none does, i.e. all-zero fitness) — the
+    /// member the hardware's linear scan picks, in O(log pop).
     fn select(&mut self) -> Individual {
         let r = self.draw();
         let threshold = ops::selection_threshold(self.fit_sum, r);
-        let mut cum: u32 = 0;
-        for ind in &self.cur {
-            cum += ind.fitness as u32;
-            if ops::selection_hit(cum, threshold) {
-                return *ind;
-            }
-        }
-        *self.cur.last().expect("population is never empty")
+        self.cur[ops::select_index(&self.prefix, threshold)]
     }
 
     /// Breed one full generation (Fig. 2's inner loop) and swap
     /// populations. Returns the new population's statistics.
     pub fn step_generation(&mut self) -> GenStats {
         let pop = self.params.pop_size as usize;
+        ops::prefix_sums(self.cur.iter().map(|i| i.fitness), &mut self.prefix);
+        debug_assert_eq!(self.prefix.last(), Some(&self.fit_sum));
         let mut new_pop: Vec<Individual> = Vec::with_capacity(pop);
         let mut new_sum = 0u32;
         let mut new_best = self.best;
@@ -381,22 +382,13 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
     /// fitness function stays — the caller is responsible for restoring
     /// into an engine serving the same workload). Fails with a typed
     /// error, leaving the engine untouched, when the snapshot is
-    /// internally inconsistent or its RNG position is unreachable for
-    /// this backend.
+    /// internally inconsistent ([`EngineSnapshot::validate`]) or its RNG
+    /// position is unreachable for this backend.
     pub fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), SnapshotError>
     where
         R: SnapshotRng,
     {
-        if snap.params.validate().is_err() {
-            return Err(SnapshotError::BadValue {
-                what: "invalid GA parameters",
-            });
-        }
-        if snap.population.len() != snap.params.pop_size as usize {
-            return Err(SnapshotError::BadValue {
-                what: "population length disagrees with pop_size",
-            });
-        }
+        snap.validate()?;
         self.rng
             .load(snap.rng_draws, snap.rng_next)
             .map_err(|what| SnapshotError::BadValue { what })?;
@@ -695,6 +687,33 @@ mod tests {
         let mut zero = before.clone();
         zero.rng_next = 0;
         assert!(e.restore(&zero).is_err(), "unreachable RNG state rejected");
+    }
+
+    #[test]
+    fn restore_rejects_a_sum_or_best_the_population_disagrees_with() {
+        // Selection binary-searches prefix sums that must end at
+        // fit_sum, so an in-memory snapshot is held to the same
+        // consistency rules as a decoded one.
+        let params = GaParams::new(8, 4, 10, 1, 0x061F);
+        let mut e = engine(TestFunction::F3, params);
+        e.init_population();
+        e.step_generation();
+        let before = e.snapshot();
+        let mut sum = before.clone();
+        sum.fit_sum += 1;
+        assert_eq!(
+            e.restore(&sum),
+            Err(SnapshotError::BadValue {
+                what: "fitness sum disagrees with the population"
+            })
+        );
+        assert_eq!(e.snapshot(), before, "failed restore leaves state alone");
+        let mut best = before.clone();
+        best.best.fitness = 0;
+        assert!(e.restore(&best).is_err(), "best below the population");
+        assert_eq!(e.snapshot(), before, "failed restore leaves state alone");
+        e.restore(&before).expect("a consistent snapshot restores");
+        e.step_generation();
     }
 
     #[test]

@@ -274,7 +274,6 @@ impl<M: RingMember> IslandRing<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ga_fitness::rom::FitnessRom;
     use ga_fitness::TestFunction;
 
     fn cfg(islands: usize) -> IslandConfig {
@@ -294,7 +293,7 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic_despite_threads() {
-        let rom = FitnessRom::tabulate(TestFunction::Bf6);
+        let rom = TestFunction::Bf6.rom();
         let params = GaParams::new(32, 32, 10, 1, 0x2961);
         let a = run_islands(params, cfg(4), |c| rom.lookup(c));
         let b = run_islands(params, cfg(4), |c| rom.lookup(c));
@@ -307,7 +306,7 @@ mod tests {
         // 4 islands × 32 gens of pop 8... population size floor makes
         // the honest comparison 4×(pop 32, 8 epochs of 4) vs 1×(pop 32,
         // 32 gens): same generations per island member.
-        let rom = FitnessRom::tabulate(TestFunction::Bf6);
+        let rom = TestFunction::Bf6.rom();
         let params = GaParams::new(32, 32, 10, 1, 0xB342);
         let single = run_islands(
             params,
@@ -330,7 +329,7 @@ mod tests {
 
     #[test]
     fn migration_spreads_the_best_individual() {
-        let rom = FitnessRom::tabulate(TestFunction::F3);
+        let rom = TestFunction::F3.rom();
         let params = GaParams::new(16, 16, 10, 1, 0x061F);
         let run = run_islands(
             params,
@@ -358,7 +357,7 @@ mod tests {
         // Kill-and-resume at a barrier: snapshot after two epochs,
         // rebuild fresh members from the snapshots, finish — the result
         // must equal the uninterrupted run exactly.
-        let rom = FitnessRom::tabulate(TestFunction::Bf6);
+        let rom = TestFunction::Bf6.rom();
         let params = GaParams::new(16, 32, 10, 1, 0x2961);
         let config = cfg(4);
         let members = || -> Vec<Box<dyn IslandMember + '_>> {
@@ -400,7 +399,7 @@ mod tests {
     fn single_island_matches_plain_engine() {
         // One island, one epoch = the plain engine exactly (plus the
         // jump-ahead seed derivation with k = 0, which is the identity).
-        let rom = FitnessRom::tabulate(TestFunction::Mbf6_2);
+        let rom = TestFunction::Mbf6_2.rom();
         let params = GaParams::new(32, 16, 10, 1, 0xAAAA);
         let island = run_islands(
             params,

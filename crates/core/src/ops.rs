@@ -3,6 +3,10 @@
 //! Both the behavioral engine and the cycle-accurate core call these
 //! functions, so the two models can only diverge in *when* they draw
 //! random numbers — and the differential tests pin that down too.
+//! The software engines (behavioral, 32-bit behavioral, the instrumented
+//! PowerPC reference) select through [`select_index`]; the hardware
+//! FSM keeps its cycle-by-cycle scan, which [`select_index`] matches
+//! member for member.
 
 /// Proportionate-selection threshold (§III-B.2): the population fitness
 /// sum scaled down by a 16-bit random number. In hardware this is a
@@ -20,6 +24,32 @@ pub fn selection_threshold(fit_sum: u32, r: u16) -> u32 {
 #[inline]
 pub fn selection_hit(cum_sum: u32, threshold: u32) -> bool {
     cum_sum > threshold
+}
+
+/// Running fitness sums of a population, in memory order: `out[i]` is
+/// the cumulative sum through member `i`, the value the hardware scan
+/// holds after adding member `i`. Rebuilt once per generation by the
+/// engines that select with [`select_index`].
+#[inline]
+pub fn prefix_sums(fitness: impl IntoIterator<Item = u16>, out: &mut Vec<u32>) {
+    out.clear();
+    let mut cum = 0u32;
+    out.extend(fitness.into_iter().map(|f| {
+        cum += f as u32;
+        cum
+    }));
+}
+
+/// Proportionate selection over prefix sums ([`prefix_sums`]): the
+/// first index whose cumulative sum [hits](selection_hit) the
+/// threshold, otherwise (all-zero fitness) the last index. Fitness is
+/// unsigned, so the sums are monotone and a binary search picks
+/// exactly the member the linear scan of §III-B.2 picks, in
+/// O(log pop). `prefix` must be non-empty.
+#[inline]
+pub fn select_index(prefix: &[u32], threshold: u32) -> usize {
+    let i = prefix.partition_point(|&cum| !selection_hit(cum, threshold));
+    i.min(prefix.len() - 1)
 }
 
 /// Single-point crossover mask for cut point `n ∈ 0..=15`: ones in bit

@@ -89,6 +89,9 @@ pub struct GaEngine32<R1: Rng16, R2: Rng16, F: FnMut(u32) -> u16> {
     rng2: R2,
     fitness: F,
     cur: Vec<Individual32>,
+    /// Prefix sums of `cur`'s fitness, rebuilt at the top of every
+    /// generation ([`ops::prefix_sums`]).
+    prefix: Vec<u32>,
     best: Individual32,
     fit_sum: u32,
     gen: u32,
@@ -115,6 +118,7 @@ impl<R1: Rng16, R2: Rng16, F: FnMut(u32) -> u16> GaEngine32<R1, R2, F> {
             rng2,
             fitness,
             cur: Vec::new(),
+            prefix: Vec::new(),
             best: Individual32::default(),
             fit_sum: 0,
             gen: 0,
@@ -158,20 +162,14 @@ impl<R1: Rng16, R2: Rng16, F: FnMut(u32) -> u16> GaEngine32<R1, R2, F> {
         self.stats()
     }
 
-    /// Parent selection (Fig. 6(b)): core 1 selects; core 2's threshold
-    /// draw is consumed but its scan is overridden by the scaling logic.
+    /// Parent selection (Fig. 6(b)): core 1 selects ([`ops::select_index`]
+    /// over the generation's prefix sums); core 2's threshold draw is
+    /// consumed but its scan is overridden by the scaling logic.
     fn select(&mut self) -> Individual32 {
         let r = self.rng1.next_u16();
         let _r2 = self.rng2.next_u16(); // consumed and discarded by scalingLogic_parSel
         let threshold = ops::selection_threshold(self.fit_sum, r);
-        let mut cum = 0u32;
-        for ind in &self.cur {
-            cum += ind.fitness as u32;
-            if ops::selection_hit(cum, threshold) {
-                return *ind;
-            }
-        }
-        *self.cur.last().expect("population never empty")
+        self.cur[ops::select_index(&self.prefix, threshold)]
     }
 
     fn breed_halves(&mut self, p1: u32, p2: u32) -> (u32, u32) {
@@ -215,6 +213,8 @@ impl<R1: Rng16, R2: Rng16, F: FnMut(u32) -> u16> GaEngine32<R1, R2, F> {
 
     fn step_generation(&mut self) -> GenStats32 {
         let pop = self.params.pop_size as usize;
+        ops::prefix_sums(self.cur.iter().map(|i| i.fitness), &mut self.prefix);
+        debug_assert_eq!(self.prefix.last(), Some(&self.fit_sum));
         let mut new_pop = Vec::with_capacity(pop);
         new_pop.push(self.best);
         let mut new_sum = self.best.fitness as u32;

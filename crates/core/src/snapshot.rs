@@ -252,29 +252,7 @@ impl EngineSnapshot {
         }
         r.finish()?;
 
-        if params.validate().is_err() {
-            return Err(SnapshotError::BadValue {
-                what: "invalid GA parameters",
-            });
-        }
-        if population.len() != params.pop_size as usize {
-            return Err(SnapshotError::BadValue {
-                what: "population length disagrees with pop_size",
-            });
-        }
-        let sum: u32 = population.iter().map(|i| i.fitness as u32).sum();
-        if sum != fit_sum {
-            return Err(SnapshotError::BadValue {
-                what: "fitness sum disagrees with the population",
-            });
-        }
-        let pop_max = population.iter().map(|i| i.fitness).max().unwrap_or(0);
-        if best.fitness < pop_max {
-            return Err(SnapshotError::BadValue {
-                what: "best-so-far is worse than the population",
-            });
-        }
-        Ok(EngineSnapshot {
+        let snap = EngineSnapshot {
             params,
             elitism,
             field_mode,
@@ -285,7 +263,34 @@ impl EngineSnapshot {
             rng_next,
             best,
             population,
-        })
+        };
+        snap.validate()?;
+        Ok(snap)
+    }
+
+    /// Check that the snapshot is a state an engine can reach: valid
+    /// parameters, a population of exactly `pop_size`, a fitness sum
+    /// equal to the population's, and a best-so-far at least as fit as
+    /// every member. [`EngineSnapshot::decode`] and
+    /// [`crate::GaEngine::restore`] both call this, so an in-memory
+    /// snapshot is held to the same rules as one read off the wire.
+    pub fn validate(&self) -> Result<(), SnapshotError> {
+        let bad = |what| Err(SnapshotError::BadValue { what });
+        if self.params.validate().is_err() {
+            return bad("invalid GA parameters");
+        }
+        if self.population.len() != self.params.pop_size as usize {
+            return bad("population length disagrees with pop_size");
+        }
+        let sum: u32 = self.population.iter().map(|i| i.fitness as u32).sum();
+        if sum != self.fit_sum {
+            return bad("fitness sum disagrees with the population");
+        }
+        let pop_max = self.population.iter().map(|i| i.fitness).max();
+        if pop_max.is_some_and(|m| self.best.fitness < m) {
+            return bad("best-so-far is worse than the population");
+        }
+        Ok(())
     }
 
     /// Lowercase-hex wire form (JSONL transport, checkpoint files).

@@ -4,11 +4,16 @@
 
 use carng::{CaRng, Rng16};
 use ga_core::ops;
+use proptest::prelude::*;
 
 /// One proportionate selection over a fitness vector, exactly as the
 /// core scans its population memory.
 fn select_index(fits: &[u16], fit_sum: u32, r: u16) -> usize {
-    let threshold = ops::selection_threshold(fit_sum, r);
+    scan(fits, ops::selection_threshold(fit_sum, r))
+}
+
+/// The core's linear scan against a given threshold.
+fn scan(fits: &[u16], threshold: u32) -> usize {
     let mut cum = 0u32;
     for (i, &f) in fits.iter().enumerate() {
         cum += f as u32;
@@ -17,6 +22,71 @@ fn select_index(fits: &[u16], fit_sum: u32, r: u16) -> usize {
         }
     }
     fits.len() - 1
+}
+
+/// The engines' rule: binary search over the generation's prefix sums.
+fn select_by_prefix(fits: &[u16], fit_sum: u32, r: u16) -> usize {
+    let mut prefix = Vec::new();
+    ops::prefix_sums(fits.iter().copied(), &mut prefix);
+    assert_eq!(prefix.last(), Some(&fit_sum));
+    ops::select_index(&prefix, ops::selection_threshold(fit_sum, r))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `ops::select_index` picks the member the linear scan picks, for
+    /// any population (1 to 255 members, zero-fitness runs included —
+    /// the sums then have flat steps) and any draw.
+    #[test]
+    fn prefix_search_equals_the_linear_scan(
+        fits in prop::collection::vec(
+            prop_oneof![Just(0u16), 0u16..=16, 0u16..=u16::MAX],
+            1..256,
+        ),
+        r in prop_oneof![Just(0u16), Just(0xFFFFu16), 0u16..=u16::MAX],
+    ) {
+        let fit_sum: u32 = fits.iter().map(|&f| f as u32).sum();
+        prop_assert_eq!(
+            select_by_prefix(&fits, fit_sum, r),
+            select_index(&fits, fit_sum, r)
+        );
+    }
+
+    /// A threshold exactly equal to a prefix value must skip past it
+    /// (the hit is strict), including across zero-fitness members that
+    /// repeat that value.
+    #[test]
+    fn threshold_on_a_prefix_value_matches_the_scan(
+        fits in prop::collection::vec(prop_oneof![Just(0u16), 0u16..=u16::MAX], 1..129),
+        at in 0usize..=usize::MAX,
+    ) {
+        let mut prefix = Vec::new();
+        ops::prefix_sums(fits.iter().copied(), &mut prefix);
+        let threshold = prefix[at % prefix.len()];
+        prop_assert_eq!(ops::select_index(&prefix, threshold), scan(&fits, threshold));
+    }
+}
+
+#[test]
+fn prefix_search_edge_cases_match_the_scan() {
+    for (fits, r) in [
+        (vec![0u16; 8], 0u16),
+        (vec![0; 8], 0xFFFF),
+        (vec![0; 1], 0x8000),
+        (vec![1234], 0),
+        (vec![1234], 0xFFFF),
+        (vec![u16::MAX; 255], 0xFFFF),
+        (vec![0, 0, 7, 0, 0], 0),
+        (vec![0, 0, 7, 0, 0], 0xFFFF),
+    ] {
+        let fit_sum: u32 = fits.iter().map(|&f| f as u32).sum();
+        assert_eq!(
+            select_by_prefix(&fits, fit_sum, r),
+            select_index(&fits, fit_sum, r),
+            "fits {fits:?} r {r:#06x}"
+        );
+    }
 }
 
 #[test]

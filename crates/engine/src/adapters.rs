@@ -20,11 +20,14 @@ use crate::spec::{
     RunOutcome, RunSpec, TrajPoint, Workload,
 };
 
-/// Build the lookup FEM realizing a workload on the RTL system: the
-/// paper functions use their pre-tabulated ROM images; a healing
-/// workload tabulates [`ga_ehw::healing_fitness`] over all 65 536
-/// configurations (cheap — the VRC truth table is bit-parallel), so the
-/// cycle-accurate core serves healing exactly like any other FEM.
+/// Build the lookup FEM realizing a workload on the RTL system: a paper
+/// function's FEM reads its process-wide ROM image
+/// ([`ga_fitness::TestFunction::rom`]), so no job tabulates one; a
+/// healing workload tabulates [`ga_ehw::healing_fitness`] over all
+/// 65 536 configurations per job (cheap — the VRC truth table is
+/// bit-parallel — and not cached, as the target × fault key space is
+/// unbounded), so the cycle-accurate core serves healing exactly like
+/// any other FEM.
 fn lookup_fem(workload: Workload) -> LookupFem {
     match workload {
         Workload::Function(f) => LookupFem::for_function(f),

@@ -8,7 +8,11 @@
 //! Three FEM implementations are provided, mirroring §III and §IV-B:
 //!
 //! * [`LookupFem`] — the block-ROM lookup used in the paper's hardware
-//!   experiments (1-cycle synchronous ROM read inside a 3-state FSM);
+//!   experiments (1-cycle synchronous ROM read inside a 3-state FSM).
+//!   It reads a shared ROM image: for a paper function, the process-wide
+//!   [`TestFunction::rom`] the software engines read too, so building
+//!   one per job costs no tabulation and the modeled cycles are those
+//!   of the same synchronous read;
 //! * [`CordicFem`] — the "combinational implementation" alternative the
 //!   paper rejected for speed: an iterative fixed-point CORDIC datapath
 //!   with a ~34-cycle evaluation latency;
@@ -79,19 +83,20 @@ pub struct LookupFem {
 }
 
 impl LookupFem {
-    /// Build from a tabulated ROM image.
+    /// Build over a tabulated ROM image, sharing it without a copy.
     pub fn new(image: FitnessRom) -> Self {
         LookupFem {
-            rom: SpRom::from_contents(image.into_contents()),
+            rom: SpRom::shared(image.contents),
             state: Reg::default(),
             fit_value: Reg::default(),
             fit_valid: Reg::default(),
         }
     }
 
-    /// Convenience: tabulate one of the paper functions.
+    /// The FEM of a paper function, reading its process-wide ROM image
+    /// ([`TestFunction::rom`]).
     pub fn for_function(f: TestFunction) -> Self {
-        Self::new(FitnessRom::tabulate(f))
+        Self::new(f.rom().clone())
     }
 
     /// Block-RAM cost of this FEM on the xc2vp30 (Table VI row 4).
@@ -590,6 +595,16 @@ mod tests {
         for c in [0u16, 0xFFFF, 0x1234, 0x8000] {
             let (fit, _) = transact(&mut fem, c);
             assert_eq!(fit, TestFunction::F3.eval_u16(c));
+        }
+    }
+
+    #[test]
+    fn lookup_fems_of_one_function_share_its_rom_image() {
+        for f in TestFunction::ALL {
+            let a = LookupFem::for_function(f);
+            let b = LookupFem::for_function(f);
+            assert!(std::sync::Arc::ptr_eq(a.rom.image(), b.rom.image()));
+            assert_eq!(a.rom.image().as_ptr(), f.rom().contents().as_ptr());
         }
     }
 

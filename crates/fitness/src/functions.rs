@@ -14,6 +14,19 @@
 //! implementation finds 166 — both of the paper's named optima,
 //! (x₁,x₂) = (C2,4A)₁₆ and (DB,4A)₁₆, lie on the plateau; see
 //! EXPERIMENTS.md).
+//!
+//! [`TestFunction::eval_u16`] does no arithmetic: like the paper's
+//! lookup FEM it reads a ROM image filled once per process from the
+//! `f64` form ([`TestFunction::rom`]), so every engine — software or
+//! cycle-accurate — sees the same bits at the cost of one load.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+use crate::rom::FitnessRom;
+
+/// Tabulations performed by [`TestFunction::rom`].
+static ROM_BUILDS: AtomicUsize = AtomicUsize::new(0);
 
 /// Decode a 16-bit chromosome into two 8-bit variables `(x, y)`:
 /// x = high byte, y = low byte.
@@ -152,10 +165,29 @@ impl TestFunction {
         }
     }
 
+    /// This function's fitness ROM: one process-wide image, tabulated by
+    /// [`FitnessRom::tabulate`] on first use. Racing first callers wait
+    /// for the one build; every later call is an atomic load.
+    pub fn rom(self) -> &'static FitnessRom {
+        static ROMS: [OnceLock<FitnessRom>; TestFunction::ALL.len()] =
+            [const { OnceLock::new() }; TestFunction::ALL.len()];
+        ROMS[self as usize].get_or_init(|| {
+            ROM_BUILDS.fetch_add(1, Ordering::Relaxed);
+            FitnessRom::tabulate(self)
+        })
+    }
+
+    /// Number of ROM images [`TestFunction::rom`] has tabulated in this
+    /// process: at most one per function, however many jobs ran.
+    pub fn rom_builds() -> usize {
+        ROM_BUILDS.load(Ordering::Relaxed)
+    }
+
     /// ROM-form (quantized u16) evaluation — what the block-ROM lookup
-    /// FEM stores for this chromosome.
+    /// FEM stores for this chromosome, read from [`TestFunction::rom`].
+    #[inline]
     pub fn eval_u16(self, chrom: u16) -> u16 {
-        quantize(self.eval_f64(chrom))
+        self.rom().lookup(chrom)
     }
 
     /// 32-bit split evaluation for the ganged dual-core system (§III-D):

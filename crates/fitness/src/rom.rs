@@ -7,7 +7,16 @@
 //! lookup (Table VI), while the GA memory itself costs 1%. Both numbers
 //! are pure geometry — RAMB16 aspect ratios versus required depth ×
 //! width — and this module reproduces them exactly.
+//!
+//! As on the device, each paper function's ROM is filled once and then
+//! only read: [`TestFunction::rom`] tabulates the image on first use
+//! and every engine in the process reads that one copy — the software
+//! engines through [`TestFunction::eval_u16`], the cycle-accurate core
+//! through [`crate::LookupFem`]. Six resident images cost 768 KiB.
 
+use std::sync::Arc;
+
+use crate::functions::quantize;
 use crate::TestFunction;
 
 /// Number of RAMB16 block RAMs on the paper's device (xc2vp30).
@@ -44,17 +53,23 @@ pub fn bram_utilization_pct(brams: u32) -> u32 {
 
 /// A tabulated fitness ROM image: the contents the authors generate
 /// offline and load into block ROM at synthesis time.
+///
+/// The image is an `Arc<[u16]>`: cloning a `FitnessRom` (or building a
+/// [`crate::LookupFem`] from one) shares it. Each paper function has one
+/// process-wide image, [`TestFunction::rom`], built on first use.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FitnessRom {
-    contents: Vec<u16>,
+    pub(crate) contents: Arc<[u16]>,
 }
 
 impl FitnessRom {
-    /// Tabulate a paper test function over all 2^16 encodings.
+    /// Tabulate a paper test function over all 2^16 encodings:
+    /// `quantize(f.eval_f64(c))` for every `c`. This is the one place a
+    /// paper function is tabulated; [`TestFunction::rom`] caches its
+    /// result and [`TestFunction::eval_u16`] reads that cache, so this
+    /// must not go through `eval_u16`.
     pub fn tabulate(f: TestFunction) -> Self {
-        FitnessRom {
-            contents: (0..=u16::MAX).map(|c| f.eval_u16(c)).collect(),
-        }
+        Self::tabulate_fn(|c| quantize(f.eval_f64(c)))
     }
 
     /// Tabulate an arbitrary fitness function (for user-defined FEMs).
@@ -67,11 +82,6 @@ impl FitnessRom {
     /// ROM contents (index = chromosome encoding).
     pub fn contents(&self) -> &[u16] {
         &self.contents
-    }
-
-    /// Consume into the raw vector (for loading into an `SpRom`).
-    pub fn into_contents(self) -> Vec<u16> {
-        self.contents
     }
 
     /// Combinational lookup.

@@ -6,6 +6,7 @@
 //! The checksums below were produced by this implementation and frozen;
 //! spot values are human-verifiable from the printed formulas.
 
+use ga_fitness::functions::quantize;
 use ga_fitness::rom::FitnessRom;
 use ga_fitness::TestFunction;
 
@@ -40,6 +41,22 @@ fn rom_checksums_are_frozen() {
             f.name(),
             got
         );
+    }
+}
+
+#[test]
+fn shared_roms_equal_the_quantized_reference_everywhere() {
+    // All 6 × 65 536 entries: the cached image every engine reads is
+    // exactly the f64 reference form, round-and-saturated.
+    for f in TestFunction::ALL {
+        let rom = f.rom();
+        assert_eq!(rom.contents().len(), 1 << 16);
+        for c in 0..=u16::MAX {
+            let want = quantize(f.eval_f64(c));
+            assert_eq!(rom.lookup(c), want, "{} at {c:#06x}", f.name());
+            assert_eq!(f.eval_u16(c), want, "{} eval_u16 at {c:#06x}", f.name());
+        }
+        assert_eq!(rom, &FitnessRom::tabulate(f), "{} image", f.name());
     }
 }
 

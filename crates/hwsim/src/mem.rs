@@ -8,6 +8,8 @@
 //! FSM spends an extra state per read because of it — so the latency is
 //! load-bearing for the cycle counts reproduced in EXPERIMENTS.md.
 
+use std::sync::Arc;
+
 use crate::reg::Reg;
 
 /// Single-port synchronous RAM: one read *or* write per cycle.
@@ -85,16 +87,24 @@ impl SpRam {
 /// Models the block-ROM lookup fitness modules: the paper populates
 /// Virtex-II Pro block RAMs with precomputed fitness values for every
 /// one of the 2^16 chromosome encodings (48% of the device's block
-/// memory, Table VI).
+/// memory, Table VI). The contents are an `Arc<[u16]>`, so any number
+/// of ROM instances (one per simulated FEM) can read one image; only
+/// the output register is per instance.
 #[derive(Debug, Clone)]
 pub struct SpRom {
-    data: Vec<u16>,
+    data: Arc<[u16]>,
     dout: Reg<u16>,
 }
 
 impl SpRom {
     /// Build a ROM from its full contents.
     pub fn from_contents(data: Vec<u16>) -> Self {
+        SpRom::shared(data.into())
+    }
+
+    /// Build a ROM over an image shared with other readers, without
+    /// copying it.
+    pub fn shared(data: Arc<[u16]>) -> Self {
         assert!(!data.is_empty(), "ROM must have at least one word");
         SpRom {
             data,
@@ -106,7 +116,12 @@ impl SpRom {
     /// exactly how the paper's fitness ROMs are generated offline.
     pub fn tabulate(words: usize, f: impl Fn(u16) -> u16) -> Self {
         assert!(words > 0 && words <= 1 << 16);
-        SpRom::from_contents((0..words as u32).map(|a| f(a as u16)).collect())
+        SpRom::shared((0..words as u32).map(|a| f(a as u16)).collect())
+    }
+
+    /// The contents image this ROM reads.
+    pub fn image(&self) -> &Arc<[u16]> {
+        &self.data
     }
 
     /// Number of addressable words.
@@ -203,6 +218,21 @@ mod tests {
         assert_eq!(rom.dout(), 0);
         rom.commit();
         assert_eq!(rom.dout(), 107);
+    }
+
+    #[test]
+    fn shared_roms_read_one_image() {
+        let image: Arc<[u16]> = (0..16u16).map(|a| a * 2).collect();
+        let mut a = SpRom::shared(Arc::clone(&image));
+        let b = SpRom::shared(Arc::clone(&image));
+        assert!(Arc::ptr_eq(a.image(), b.image()));
+        a.eval(5);
+        a.commit();
+        assert_eq!(
+            (a.dout(), b.dout()),
+            (10, 0),
+            "output registers are per instance"
+        );
     }
 
     #[test]

@@ -78,23 +78,27 @@ impl<F: FnMut(u16) -> u16> CountingGa<F> {
     /// Proportionate selection: threshold scale (64-bit multiply = two
     /// `mullw`/`mulhw` + shift) then the cumulative scan (load, add,
     /// compare-branch per member).
-    fn select(&mut self, pop: &[Individual], fit_sum: u32) -> Individual {
+    ///
+    /// The modeled C program scans linearly, and that scan is what is
+    /// charged: one load, ALU op and branch per member visited — the
+    /// chosen index plus one, `pop` on a miss — plus the fall-through
+    /// branch of a miss. The host finds the same member by
+    /// [`ops::select_index`] over the generation's `prefix` sums, whose
+    /// per-generation build is host-only and not charged.
+    fn select(&mut self, pop: &[Individual], prefix: &[u32], fit_sum: u32) -> Individual {
         let r = self.draw();
         self.counts.mul += 2;
         self.counts.alu += 2;
         let threshold = ops::selection_threshold(fit_sum, r);
-        let mut cum = 0u32;
-        for ind in pop {
-            self.counts.load += 1;
-            self.counts.alu += 1;
+        let i = ops::select_index(prefix, threshold);
+        let visited = i as u64 + 1;
+        self.counts.load += visited;
+        self.counts.alu += visited;
+        self.counts.branch += visited;
+        if !ops::selection_hit(prefix[i], threshold) {
             self.counts.branch += 1;
-            cum += ind.fitness as u32;
-            if ops::selection_hit(cum, threshold) {
-                return *ind;
-            }
         }
-        self.counts.branch += 1;
-        *pop.last().expect("population non-empty")
+        pop[i]
     }
 
     /// Run the full optimization and return the op tally.
@@ -127,7 +131,9 @@ impl<F: FnMut(u16) -> u16> CountingGa<F> {
         });
 
         // --- generations ----------------------------------------------
+        let mut prefix = Vec::with_capacity(pop_n);
         for gen in 0..self.params.n_gens {
+            ops::prefix_sums(cur.iter().map(|i| i.fitness), &mut prefix);
             let mut new_pop = Vec::with_capacity(pop_n);
             // Elite copy: two stores + bookkeeping.
             self.counts.store += 2;
@@ -137,8 +143,8 @@ impl<F: FnMut(u16) -> u16> CountingGa<F> {
             let mut new_best = best;
 
             while new_pop.len() < pop_n {
-                let p1 = self.select(&cur, fit_sum);
-                let p2 = self.select(&cur, fit_sum);
+                let p1 = self.select(&cur, &prefix, fit_sum);
+                let p2 = self.select(&cur, &prefix, fit_sum);
                 // Crossover: field extraction + decision + mask algebra.
                 let (xd, cut) = ops::xover_fields(self.draw());
                 self.counts.alu += 8;
