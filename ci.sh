@@ -23,8 +23,9 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 echo "== perfbench batch-heavy smoke (2 s, every served answer checked)"
 # Every served answer is checked byte for byte against a single-threaded
 # reference — exact RTL cycles and full trajectories included — while
-# the 2 serve threads race the lazy first build of the shared fitness
-# ROMs. Any wrong, missing or untyped answer exits nonzero.
+# the 2 serve threads race the lazy first builds of the shared fitness
+# ROMs and of the tabulated CA-RNG netlist that every bitsim64 lane
+# stream walks. Any wrong, missing or untyped answer exits nonzero.
 ./perfbench/target/release/perfbench --workload batch-heavy --seconds 2 --trace 0 > /dev/null
 
 echo "== galint --format json"
@@ -149,14 +150,27 @@ diff -u tests/fixtures/results16_golden.jsonl "$SMOKE_DIR/results16.jsonl"
     --require-backend-throughput 'jobs>=15' 'jobs_per_sec>=25' \
     'netlist_cache_hits>=1' 'degraded_jobs<=0'
 
+echo "== gaserved: an oversized bitsim64 island stream is a typed error"
+# A valid island job whose stepping handles would each need a
+# 1.28e12-draw CA-RNG lane stream. The stepper's up-front step budget
+# must refuse it as exactly one typed invalid_job line in wire position
+# (without the budget the process aborts on a terabyte allocation).
+echo '{"fn":"F2","backend":"bitsim64","pop":128,"gens":4000000000,"xover":10,"mut":1,"seed":7,"islands":2,"epoch":4,"epochs":1000000000}' \
+    | GA_BENCH_OUT="$SMOKE_DIR" ./target/release/gaserved \
+        --input /dev/stdin --out "$SMOKE_DIR/oversized.jsonl" 2> /dev/null
+test "$(wc -l < "$SMOKE_DIR/oversized.jsonl")" -eq 1
+grep -q '^{"job":0,"backend":"bitsim64","ok":false,"error":"invalid_job",' \
+    "$SMOKE_DIR/oversized.jsonl"
+
 echo "== serve bench (200-job acceptance batch, pack-path throughput floor)"
 # The pack-path + cache gate. The 200-job batch cycles the five
 # registered backends, so its 40 bitsim64 jobs always plan into exactly
 # 3 packs (one per parameter shape) — pinned from both sides, so a
 # planner change that splits or merges packs fails here. The packed
-# path must clear a conservative 12029 jobs/s floor (measured runs give
-# several times that), with zero degraded lanes and at least one
-# compiled-netlist cache hit.
+# path must clear a conservative 12029 jobs/s floor, with zero degraded
+# lanes and at least one compiled-netlist cache hit. The run is cold:
+# its first pack also tabulates the CA-RNG netlist (about 0.4 ms), which
+# dominates 40 tiny lanes, so measured runs give about 1.7x the floor.
 cargo build -q --release -p ga-serve --bin serve_bench
 GA_BENCH_OUT="$SMOKE_DIR" ./target/release/serve_bench 2> /dev/null
 ./target/release/benchcheck "$SMOKE_DIR/BENCH_serve.json" \

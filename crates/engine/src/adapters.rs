@@ -14,7 +14,7 @@ use ga_fitness::{FemBank, FemSlot, LookupFem};
 use hwsim::{Deadline, SimError};
 use swga::CountingGa;
 
-use crate::pack::{ca_lane_streams, draws_per_run, try_ca_lane_streams, StreamRng};
+use crate::pack::{draws_per_run, try_ca_lane_streams, StreamRng};
 use crate::spec::{
     convergence_generation, BackendKind, Capabilities, Engine, EngineError, Limits, Prepared,
     RunOutcome, RunSpec, TrajPoint, Workload,
@@ -193,10 +193,12 @@ impl Engine for RtlInterpEngine {
     }
 }
 
-/// The compiled 64-lane netlist backend: the CA-RNG stream comes from
-/// one bit-sliced simulation of the synthesized netlist (a pack shares
-/// it across up to 64 lanes), then each lane finishes as an ordinary
-/// behavioral run over its [`StreamRng`].
+/// The compiled-netlist backend: each lane's CA-RNG stream is walked
+/// through the synthesized netlist's tabulated consume edge
+/// ([`crate::pack::CaRngTable`], built once per process by simulating
+/// the compiled netlist), then each lane finishes as an ordinary
+/// behavioral run over its [`StreamRng`]. Up to 64 jobs sharing one
+/// draw schedule run as one pack.
 pub struct BitSim64Engine;
 
 impl Engine for BitSim64Engine {
@@ -259,10 +261,13 @@ impl Engine for BitSim64Engine {
         // runs epoch × epochs = n_gens generations total) plus one — a
         // snapshot taken after the final generation still records the
         // *next* draw, which is how a stream checkpoint restores into a
-        // register-RNG backend.
+        // register-RNG backend. The extraction runs under the default
+        // step budget: a stream past it is refused (no handle), never
+        // allocated.
         let spec = prepared.spec();
-        let draws = draws_per_run(&spec.params) as usize + 1;
-        let mut streams = ca_lane_streams(&[spec.params.seed], draws);
+        let draws = usize::try_from(draws_per_run(&spec.params) + 1).ok()?;
+        let budget = Limits::default().stream_watchdog_steps;
+        let mut streams = try_ca_lane_streams(&[spec.params.seed], draws, budget).ok()?;
         let stream = streams.pop().expect("one lane requested");
         Some(stepper16(spec, StreamRng::new(stream)))
     }

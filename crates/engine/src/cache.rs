@@ -1,12 +1,14 @@
-//! The compiled-netlist cache: validate + topo-sort + compile the
+//! The compiled-netlist cache: elaborate, compile and tabulate the
 //! CA-RNG netlist once and share the result across every pack.
 //!
-//! The serve hot path runs the same synthesized design — the CA-RNG
-//! netlist — for every `bitsim64` pack. Re-elaborating and
-//! re-compiling it per pack would pay the full validate + Kahn-sort +
-//! flatten cost on work that never changes, so the engine layer keeps
-//! one process-wide compiled artifact instead: the first request
-//! compiles while every later request is a lock-free hit.
+//! Every `bitsim64` pack and stepping handle draws its lane streams
+//! from the same synthesized design — the CA-RNG netlist. Rebuilding it
+//! per pack would pay validate + Kahn-sort + flatten, and then the
+//! 65 536-state consume-edge simulation, on work that never changes, so
+//! the engine layer keeps one process-wide artifact instead: a
+//! [`CaRngTable`] holding the compiled netlist and its tabulated
+//! consume edge. The first request builds it while every later request
+//! is a lock-free hit.
 //!
 //! Hit/miss counters are exposed so the serving layer can report cache
 //! effectiveness per batch (`netlist_cache_hits` / `_misses` in
@@ -16,13 +18,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use ga_synth::CompiledNetlist;
+use crate::pack::CaRngTable;
 
-/// A process-wide compiled netlist with hit/miss accounting. The first
-/// request compiles; requests racing it wait for that one compile and
-/// count as hits, so the lifetime miss count is at most one.
+/// A process-wide tabulated CA-RNG netlist with hit/miss accounting.
+/// The first request builds it; requests racing it wait for that one
+/// build and count as hits, so the lifetime miss count is at most one.
 pub struct NetlistCache {
-    compiled: OnceLock<Arc<CompiledNetlist>>,
+    table: OnceLock<Arc<CaRngTable>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -32,23 +34,22 @@ impl NetlistCache {
     /// [`global_cache`]).
     pub fn new() -> Self {
         NetlistCache {
-            compiled: OnceLock::new(),
+            table: OnceLock::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// The cached netlist, compiling it with `build` on the first
-    /// request.
-    pub fn get_or_compile(&self, build: impl FnOnce() -> CompiledNetlist) -> Arc<CompiledNetlist> {
+    /// The cached table, building it with `build` on the first request.
+    pub fn get_or_build(&self, build: impl FnOnce() -> CaRngTable) -> Arc<CaRngTable> {
         let mut built = false;
-        let compiled = self.compiled.get_or_init(|| {
+        let table = self.table.get_or_init(|| {
             built = true;
             Arc::new(build())
         });
         let counter = if built { &self.misses } else { &self.hits };
         counter.fetch_add(1, Ordering::Relaxed);
-        Arc::clone(compiled)
+        Arc::clone(table)
     }
 
     /// Lifetime `(hits, misses)` counters.
@@ -66,7 +67,7 @@ impl Default for NetlistCache {
     }
 }
 
-/// The process-wide compiled-netlist cache the `bitsim64` backend
+/// The process-wide tabulated CA-RNG cache the `bitsim64` backend
 /// shares.
 pub fn global_cache() -> &'static NetlistCache {
     static CACHE: OnceLock<NetlistCache> = OnceLock::new();
@@ -77,17 +78,20 @@ pub fn global_cache() -> &'static NetlistCache {
 mod tests {
     use super::*;
     use ga_synth::gadesign::elaborate_ca_rng;
+    use ga_synth::CompiledNetlist;
 
-    fn compile_ca() -> CompiledNetlist {
-        CompiledNetlist::compile(&elaborate_ca_rng()).expect("CA-RNG compiles")
+    fn tabulate_ca() -> CaRngTable {
+        CaRngTable::tabulate(
+            CompiledNetlist::compile(&elaborate_ca_rng()).expect("CA-RNG compiles"),
+        )
     }
 
     #[test]
     fn first_request_misses_then_hits() {
         let cache = NetlistCache::new();
-        let a = cache.get_or_compile(compile_ca);
+        let a = cache.get_or_build(tabulate_ca);
         assert_eq!(cache.counters(), (0, 1));
-        let b = cache.get_or_compile(compile_ca);
+        let b = cache.get_or_build(tabulate_ca);
         assert_eq!(cache.counters(), (1, 1));
         assert!(Arc::ptr_eq(&a, &b), "a hit returns the cached artifact");
     }
@@ -95,12 +99,13 @@ mod tests {
     #[test]
     fn cache_hits_are_byte_identical_to_cold_compiles() {
         // The artifact a hit returns must be indistinguishable from a
-        // compile done from scratch: same instruction stream, same
-        // registers, same bus maps. Debug formatting covers every field.
+        // build done from scratch: same instruction stream, same
+        // registers, same bus maps, same table. Debug formatting covers
+        // every field.
         let cache = NetlistCache::new();
-        cache.get_or_compile(compile_ca);
-        let hit = cache.get_or_compile(compile_ca);
-        let cold = compile_ca();
+        cache.get_or_build(tabulate_ca);
+        let hit = cache.get_or_build(tabulate_ca);
+        let cold = tabulate_ca();
         assert_eq!(format!("{hit:?}"), format!("{cold:?}"));
     }
 
@@ -109,12 +114,39 @@ mod tests {
         let cache = NetlistCache::new();
         let mut builds = 0;
         for _ in 0..5 {
-            cache.get_or_compile(|| {
+            cache.get_or_build(|| {
                 builds += 1;
-                compile_ca()
+                tabulate_ca()
             });
         }
         assert_eq!(builds, 1);
         assert_eq!(cache.counters(), (4, 1));
+    }
+
+    #[test]
+    fn racing_first_lookups_build_once() {
+        let cache = NetlistCache::new();
+        let builds = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(4);
+        let tables: Vec<Arc<CaRngTable>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        cache.get_or_build(|| {
+                            builds.fetch_add(1, Ordering::Relaxed);
+                            tabulate_ca()
+                        })
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("lookup thread"))
+                .collect()
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1);
+        assert_eq!(cache.counters(), (3, 1));
+        assert!(tables.iter().all(|t| Arc::ptr_eq(t, &tables[0])));
     }
 }

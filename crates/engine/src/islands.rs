@@ -187,7 +187,12 @@ pub fn island_member(
     engine
         .stepper(&prepared)
         .ok_or_else(|| EngineError::InvalidSpec {
-            msg: format!("{} refused a stepping handle", engine.kind().name()),
+            msg: format!(
+                "{} refused a stepping handle (no stepping support, or a \
+                 {}-generation RNG stream past its step budget)",
+                engine.kind().name(),
+                params.n_gens
+            ),
         })
 }
 

@@ -20,9 +20,10 @@
 //! | `swga` | `swga::CountingGa` (PowerPC reference) | 16 |
 //! | `rtl32` | `ga_core::GaSystem32Hw` (ganged dual core, Fig. 6) | 32 |
 //!
-//! `bitsim64` compiles the CA-RNG netlist once into the process-wide
-//! [`NetlistCache`], so repeat packs skip validate + topo-sort +
-//! compile entirely.
+//! `bitsim64` compiles the CA-RNG netlist and tabulates its consume
+//! edge once into the process-wide [`NetlistCache`]
+//! ([`CaRngTable`]); every lane stream walks that table, so no
+//! pack or job simulates the netlist again.
 //!
 //! [`IslandsEngine`] composes the ring-migration island model over any
 //! backend with a stepping handle. See DESIGN.md for the layer diagram
@@ -45,7 +46,7 @@ pub use cache::{global_cache, NetlistCache};
 pub use islands::{
     island_member, CheckpointBundle, IslandsDriver, IslandsEngine, CHECKPOINT_VERSION,
 };
-pub use pack::{ca_lane_streams, draws_per_run, try_ca_lane_streams, StreamRng};
+pub use pack::{ca_lane_streams, draws_per_run, try_ca_lane_streams, CaRngTable, StreamRng};
 pub use registry::{global, EngineRegistry};
 pub use spec::{
     convergence_generation, BackendKind, Capabilities, Engine, EngineError, Limits, Prepared,

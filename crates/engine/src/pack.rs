@@ -1,27 +1,32 @@
-//! Job packing for the 64-lane `bitsim64` backend.
+//! Job packing for the 64-lane `bitsim64` backend, and the tabulated
+//! CA-RNG netlist its lane streams come from.
 //!
-//! The compiled netlist engine (`ga_synth::bitsim`) advances 64
-//! independent CA-RNG simulations per pass — but the *GA* around the
-//! RNG is data-dependent (selection scans, fitness lookups), so the
-//! whole GA cannot be bit-sliced. What CAN be shared is the expensive
-//! part the netlist actually models: the RNG stream. Two jobs with the
-//! same population size and generation count consume RNG draws on an
-//! identical, data-independent schedule ([`draws_per_run`]), so up to
-//! 64 such jobs are packed into **one** lockstep run of the compiled
-//! CA-RNG netlist — one seed per lane — and each lane's extracted
-//! stream then drives an ordinary behavioral engine via [`StreamRng`].
-//! Because the netlist is gate-level equivalent to `carng::CaRng`
-//! (proven by `crates/synth/tests/rng_equivalence.rs` and the golden
-//! vectors), a packed lane's result is bit-identical to a solo run.
+//! The *GA* around the RNG is data-dependent (selection scans, fitness
+//! lookups), so the whole GA cannot be bit-sliced; what the served
+//! backend takes from the synthesized design is the RNG stream. Two
+//! jobs with the same population size and generation count consume RNG
+//! draws on an identical, data-independent schedule ([`draws_per_run`]),
+//! so up to 64 such jobs form one pack: one seed per lane, and each
+//! lane's extracted stream then drives an ordinary behavioral engine
+//! via [`StreamRng`].
 //!
-//! Packs smaller than the lane count leave the tail lanes *unseeded*:
-//! they hold the CA's all-zero fixed point, never produce a stream,
-//! and never touch results or metrics — the padding-skew fix. Active
-//! lanes are exactly `seeds.len()`.
+//! The stream itself comes from the compiled CA-RNG netlist, but not by
+//! stepping its gates per pack. The netlist's only state is its 16
+//! registers and `rn` is their Q bus, and under `ctl` = consume the D
+//! logic ignores the seed bus, so the consume edge is a pure function
+//! `Q' = next[Q]` over 65 536 states — the same offline tabulation the
+//! paper applies to its fitness ROMs (Table VI). [`CaRngTable`]
+//! simulates that edge for every state once, with the compiled netlist
+//! itself, and a lane stream is the (zero-guarded) seed followed by
+//! table lookups. Because the netlist is gate-level equivalent to
+//! `carng::CaRng` (proven by `crates/synth/tests/rng_equivalence.rs`
+//! and the golden vectors), a packed lane's result is bit-identical to
+//! a solo run. Active lanes are exactly `seeds.len()`: no stream is
+//! produced for an unused lane.
 //!
-//! The compiled netlist itself comes from the process-wide
-//! [`crate::cache::NetlistCache`], so repeat packs skip validation,
-//! topological sorting, and flattening entirely.
+//! The table comes from the process-wide
+//! [`crate::cache::NetlistCache`], so only the first pack in a process
+//! elaborates, compiles and tabulates the netlist.
 
 use std::sync::Arc;
 
@@ -44,30 +49,147 @@ pub fn draws_per_run(p: &GaParams) -> u64 {
     pop + p.n_gens as u64 * (3 * pairs + (pop - 1))
 }
 
-/// The compiled CA-RNG netlist from the process-wide
-/// [`NetlistCache`](crate::cache::NetlistCache): compiled once, a cache
-/// hit on every later pack.
-fn compiled_ca() -> Arc<CompiledNetlist> {
-    global_cache().get_or_compile(|| {
-        CompiledNetlist::compile(&elaborate_ca_rng()).expect("CA-RNG netlist compiles")
+/// `SPREAD[x]` puts bit *i* of `x` into the low bit of byte *i* — the
+/// byte-wise transpose that turns 8 lane-packed net bytes into 8 lane
+/// bytes without gathering one bit per lane.
+const SPREAD: [u64; 256] = {
+    let mut t = [0u64; 256];
+    let mut x = 0;
+    while x < 256 {
+        let mut i = 0;
+        while i < 8 {
+            t[x] |= (((x >> i) & 1) as u64) << (8 * i);
+            i += 1;
+        }
+        x += 1;
+    }
+    t
+};
+
+/// Words per net in the tabulating simulation: 256 lanes per pass.
+const TAB_WORDS: usize = 4;
+
+/// The compiled CA-RNG netlist with its consume edge tabulated:
+/// `next[s]` is the register state one consume edge after state `s`,
+/// for all 65 536 states, as simulated by the netlist (never filled
+/// from `carng`).
+#[derive(Debug)]
+pub struct CaRngTable {
+    netlist: CompiledNetlist,
+    next: Box<[u16]>,
+}
+
+impl CaRngTable {
+    /// Tabulate `netlist` (the CA-RNG: `seed`/`ctl` in, `rn` out) in
+    /// 256 passes of 256 lanes. Each pass drives the seed bus with 256
+    /// consecutive states, applies a load edge and checks that `rn`
+    /// reads every seed back (so the load path is verified for all
+    /// 65 536 seeds), then applies one consume edge and transposes `rn`
+    /// into the table.
+    ///
+    /// # Panics
+    /// If the netlist lacks the CA-RNG buses or its load edge does not
+    /// latch the seed — a broken design, not a runtime condition.
+    pub fn tabulate(netlist: CompiledNetlist) -> Self {
+        let seed_bus = netlist.input_bus("seed").expect("seed bus").to_vec();
+        let ctl_bus = netlist.input_bus("ctl").expect("ctl bus").to_vec();
+        let rn_bus = netlist.output_bus("rn").expect("rn bus").to_vec();
+        assert!(
+            seed_bus.len() == 16 && rn_bus.len() == 16,
+            "the CA-RNG has 16-bit seed and rn buses"
+        );
+        // Seed bit i of lane k = 64·w + j: bits 0–5 are bit i of j (a
+        // fixed pattern per word), bits 6–7 are bit i − 6 of the word
+        // index w, bits 8–15 come from the pass.
+        let lane_bit = |i: usize| {
+            (0..64)
+                .filter(|j| (j >> i) & 1 == 1)
+                .map(|j| 1u64 << j)
+                .sum()
+        };
+        let ones = |on: bool| if on { u64::MAX } else { 0 };
+        let mut seed_words = [[0u64; TAB_WORDS]; 16];
+        for (i, words) in seed_words.iter_mut().enumerate().take(8) {
+            *words = std::array::from_fn(|w| match i {
+                0..=5 => lane_bit(i),
+                _ => ones((w >> (i - 6)) & 1 == 1),
+            });
+        }
+        let mut next = vec![0u16; 1 << 16].into_boxed_slice();
+        let mut sim = netlist.sim_wide::<TAB_WORDS>();
+        for (pass, out) in next.chunks_exact_mut(64 * TAB_WORDS).enumerate() {
+            for (i, words) in seed_words.iter_mut().enumerate().skip(8) {
+                *words = [ones((pass >> (i - 8)) & 1 == 1); TAB_WORDS];
+            }
+            for (&net, &words) in seed_bus.iter().zip(&seed_words) {
+                sim.set_net_words(net, words);
+            }
+            sim.set_bus_all(&ctl_bus, 0b01); // ctl[0] = seed_load
+            sim.step();
+            assert!(
+                rn_bus
+                    .iter()
+                    .zip(&seed_words)
+                    .all(|(&n, &w)| sim.net_words(n) == w),
+                "the CA-RNG load edge does not latch the seed (pass {pass})"
+            );
+            sim.set_bus_all(&ctl_bus, 0b10); // ctl[1] = consume
+            sim.step();
+            let rn: [[u64; TAB_WORDS]; 16] = std::array::from_fn(|i| sim.net_words(rn_bus[i]));
+            for (k, lanes) in out.chunks_exact_mut(8).enumerate() {
+                let (w, shift) = (k / 8, 8 * (k % 8));
+                let spread = |bits: &[[u64; TAB_WORDS]]| -> u64 {
+                    bits.iter()
+                        .enumerate()
+                        .map(|(i, words)| SPREAD[((words[w] >> shift) & 0xFF) as usize] << i)
+                        .fold(0, |acc, b| acc | b)
+                };
+                let (lo, hi) = (spread(&rn[..8]), spread(&rn[8..]));
+                for (b, v) in lanes.iter_mut().enumerate() {
+                    *v = u16::from_le_bytes([(lo >> (8 * b)) as u8, (hi >> (8 * b)) as u8]);
+                }
+            }
+        }
+        CaRngTable { netlist, next }
+    }
+
+    /// The compiled netlist the table was simulated from.
+    pub fn netlist(&self) -> &CompiledNetlist {
+        &self.netlist
+    }
+
+    /// The register state one consume edge after state `s`.
+    #[inline]
+    pub fn next(&self, s: u16) -> u16 {
+        self.next[s as usize]
+    }
+}
+
+/// The tabulated CA-RNG netlist from the process-wide
+/// [`NetlistCache`](crate::cache::NetlistCache): elaborated, compiled
+/// and tabulated once, a cache hit on every later pack.
+fn tabulated_ca() -> Arc<CaRngTable> {
+    global_cache().get_or_build(|| {
+        CaRngTable::tabulate(
+            CompiledNetlist::compile(&elaborate_ca_rng()).expect("CA-RNG netlist compiles"),
+        )
     })
 }
 
-/// Run the compiled CA-RNG netlist with one seed per lane and extract
-/// `draws` outputs per seeded lane — `seeds.len()` complete RNG streams
-/// from one bit-sliced simulation. Zero seeds get the RNG module's
-/// guard remap (0 → 1), matching `carng::CaRng`; *unseeded* tail lanes
-/// stay at the CA's all-zero fixed point and are never read.
+/// Extract `draws` outputs of the CA-RNG netlist per seed —
+/// `seeds.len()` complete RNG streams, each walking the tabulated
+/// consume edge from its seed. Zero seeds get the RNG module's guard
+/// remap (0 → 1), matching `carng::CaRng`.
 pub fn ca_lane_streams(seeds: &[u16], draws: usize) -> Vec<Vec<u16>> {
     try_ca_lane_streams(seeds, draws, u64::MAX).expect("unbounded extraction cannot trip")
 }
 
-/// [`ca_lane_streams`] under a simulated-step watchdog: extracting
-/// `draws` draws costs `draws + 1` netlist steps (one load edge plus
-/// one per draw); if the run would exceed `max_steps` the extraction is
-/// refused up front with `Err(max_steps)` — the step count the watchdog
-/// charged — so the service can degrade the pack to the behavioral
-/// backend instead of burning an unbounded amount of host time.
+/// [`ca_lane_streams`] under a simulated-step watchdog: `draws` draws
+/// are `draws + 1` netlist steps (one load edge plus one per draw); if
+/// that exceeds `max_steps` the extraction is refused up front with
+/// `Err(max_steps)` — the step count the watchdog charged — so the
+/// service can degrade the pack to the behavioral backend instead of
+/// allocating an unbounded stream.
 pub fn try_ca_lane_streams(
     seeds: &[u16],
     draws: usize,
@@ -82,44 +204,22 @@ pub fn try_ca_lane_streams(
     if (draws as u64).saturating_add(1) > max_steps {
         return Err(max_steps);
     }
-    let cn = compiled_ca();
-    let seed_bus = cn.input_bus("seed").expect("seed bus").to_vec();
-    let ctl_bus = cn.input_bus("ctl").expect("ctl bus").to_vec();
-    let rn_bus = cn.output_bus("rn").expect("rn bus").to_vec();
-
-    let mut sim = cn.sim();
-    for (lane, &s) in seeds.iter().enumerate() {
-        let s = if s == 0 { 1 } else { s }; // the RNG module's zero-seed guard
-        sim.set_bus_lane(&seed_bus, lane, s as u64);
-    }
-    sim.set_bus_all(&ctl_bus, 0b01); // ctl[0] = seed_load
-    sim.step();
-    sim.set_bus_all(&ctl_bus, 0b10); // ctl[1] = consume
-
-    // The rn output bus IS the register bank, so after the load edge it
-    // already reads the seed; sample-then-advance from here on matches
-    // `Rng16::next_u16` (first draw after reseed is the seed itself).
-    // Per step, the 16 lane-packed bus words are read once and every
-    // active lane's draw is assembled from them — 16 net reads per step
-    // instead of 16 per lane per step.
-    let mut streams: Vec<Vec<u16>> = (0..seeds.len())
-        .map(|_| Vec::with_capacity(draws))
-        .collect();
-    let mut words = [0u64; 16];
-    for _ in 0..draws {
-        for (w, &n) in words.iter_mut().zip(&rn_bus) {
-            *w = sim.net(n);
-        }
-        for (lane, stream) in streams.iter_mut().enumerate() {
-            let mut v = 0u16;
-            for (bit, w) in words.iter().enumerate() {
-                v |= (((w >> lane) & 1) as u16) << bit;
+    let table = tabulated_ca();
+    // The rn bus IS the register bank, so after the load edge it reads
+    // the seed; sample-then-advance from there matches
+    // `Rng16::next_u16` (the first draw after a reseed is the seed).
+    Ok(seeds
+        .iter()
+        .map(|&seed| {
+            let mut s = if seed == 0 { 1 } else { seed }; // the RNG module's zero-seed guard
+            let mut stream = Vec::with_capacity(draws);
+            for _ in 0..draws {
+                stream.push(s);
+                s = table.next(s);
             }
-            stream.push(v);
-        }
-        sim.step();
-    }
-    Ok(streams)
+            stream
+        })
+        .collect())
 }
 
 /// An [`Rng16`] replaying a pre-extracted draw stream — the glue
@@ -200,18 +300,58 @@ mod tests {
     use carng::CaRng;
 
     #[test]
-    fn lane_streams_match_the_reference_rng() {
-        let seeds = [0xB342u16, 0x2961, 0x061F, 1, 0xFFFF];
-        let streams = ca_lane_streams(&seeds, 200);
-        assert_eq!(streams.len(), seeds.len());
-        for (lane, (&seed, stream)) in seeds.iter().zip(&streams).enumerate() {
-            let mut reference = CaRng::new(seed);
-            for (k, &v) in stream.iter().enumerate() {
-                assert_eq!(
-                    v,
-                    reference.next_u16(),
-                    "lane {lane} seed {seed:#06x} diverged at draw {k}"
-                );
+    fn table_is_one_carng_step_for_every_state() {
+        let table = tabulated_ca();
+        assert_eq!(
+            table.next(0),
+            0,
+            "the all-zero state is the CA's fixed point"
+        );
+        for s in 1..=u16::MAX {
+            let mut reference = CaRng::new(s);
+            reference.step();
+            assert_eq!(table.next(s), reference.output(), "state {s:#06x}");
+        }
+    }
+
+    #[test]
+    fn table_is_one_maximal_cycle() {
+        // Rule 0x055F is maximal-period at gate level: walking the
+        // table from 1 visits every nonzero state once before returning.
+        let table = tabulated_ca();
+        let mut seen = vec![false; 1 << 16];
+        let mut s = 1u16;
+        for step in 0..u16::MAX {
+            assert!(
+                s != 0 && !seen[s as usize],
+                "state {s:#06x} repeats at step {step}"
+            );
+            seen[s as usize] = true;
+            s = table.next(s);
+        }
+        assert_eq!(s, 1, "the cycle closes after 65 535 steps");
+    }
+
+    #[test]
+    fn lane_streams_match_the_reference_rng_at_heavy_length() {
+        // A pop-128 / 64-generation job: the stream a stepper extracts.
+        let draws = draws_per_run(&GaParams::new(128, 64, 10, 1, 1)) as usize + 1;
+        assert_eq!(draws, 20_545);
+        let mut packs = vec![vec![0u16, 1, 0xFFFF]];
+        packs.push((0..64).map(|k| 0x9E37u16.wrapping_mul(k + 1)).collect());
+        for seeds in packs {
+            let streams = ca_lane_streams(&seeds, draws);
+            assert_eq!(streams.len(), seeds.len());
+            for (lane, (&seed, stream)) in seeds.iter().zip(&streams).enumerate() {
+                assert_eq!(stream.len(), draws);
+                let mut reference = CaRng::new(seed);
+                for (k, &v) in stream.iter().enumerate() {
+                    assert_eq!(
+                        v,
+                        reference.next_u16(),
+                        "lane {lane} seed {seed:#06x} diverged at draw {k}"
+                    );
+                }
             }
         }
     }

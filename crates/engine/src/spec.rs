@@ -138,8 +138,8 @@ pub struct RunSpec {
 pub struct Capabilities {
     /// Chromosome widths this engine implements.
     pub widths: &'static [u8],
-    /// How many compatible runs one invocation can execute in lockstep
-    /// (1 = solo only; 64 for the bit-sliced netlist).
+    /// How many compatible runs one invocation can execute together
+    /// (1 = solo only; 64 for `bitsim64` packs).
     pub pack_width: usize,
     /// Honors [`RunSpec::deadline_ms`].
     pub deadline: bool,
@@ -355,8 +355,8 @@ pub trait Engine: Send + Sync {
 
     /// Execute a batch of compatible admitted runs. Engines with
     /// `pack_width > 1` override this to share work across the batch
-    /// (the bit-sliced netlist runs one lockstep simulation for all
-    /// lanes); the default just runs them one by one.
+    /// (`bitsim64` checks one draw budget and takes one cached netlist
+    /// table for all lanes); the default just runs them one by one.
     fn run_pack(
         &self,
         prepared: &[Prepared],
@@ -366,9 +366,11 @@ pub trait Engine: Send + Sync {
     }
 
     /// A generation-stepping handle for island-model composition, if
-    /// the engine supports it (`capabilities().stepping`). The member
-    /// arrives with its population *uninitialized*; the island driver
-    /// owns the init / step / migrate schedule.
+    /// the engine supports it (`capabilities().stepping`) and this spec
+    /// fits its budget (`bitsim64` refuses a stream past the default
+    /// step watchdog). The member arrives with its population
+    /// *uninitialized*; the island driver owns the init / step /
+    /// migrate schedule.
     fn stepper(&self, prepared: &Prepared) -> Option<Box<dyn ga_core::IslandMember>> {
         let _ = prepared;
         None

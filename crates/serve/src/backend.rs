@@ -140,7 +140,7 @@ fn settle(
 /// Run a pack of *validated, compatible* jobs (`idxs` index into `all`;
 /// at most the engine's pack width, all sharing one
 /// [`GaJob::pack_key`]): one [`ga_engine::Engine::run_pack`] invocation
-/// shares the lockstep work across lanes. Per-job latency charges each
+/// serves every lane. Per-job latency charges each
 /// job an even share of the shared pack time plus its own settling
 /// time. If the engine fails a lane on infrastructure, that lane
 /// degrades along the engine's declared edge like any solo job.

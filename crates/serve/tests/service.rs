@@ -7,7 +7,7 @@ use carng::CaRng;
 use ga_core::{GaEngine, GaParams};
 use ga_engine::draws_per_run;
 use ga_fitness::TestFunction;
-use ga_serve::{serve_batch, BackendKind, GaJob, JobResult, ServeConfig, ServeError};
+use ga_serve::{jsonl, serve_batch, BackendKind, GaJob, JobResult, ServeConfig, ServeError};
 
 /// The acceptance fixture: 200 jobs cycling through every registered
 /// backend (including 32-bit jobs on the ganged `rtl32` composite),
@@ -170,6 +170,36 @@ fn all_width16_backends_agree_on_the_answer() {
             );
         }
     }
+}
+
+#[test]
+fn oversized_bitsim_island_stream_is_a_typed_error_not_an_abort() {
+    // A valid island job whose stepping handles would each need a
+    // 1.28e12-draw lane stream: it must be refused by the step budget
+    // in wire position, and the next line must still be served.
+    let lines = [
+        r#"{"fn":"F2","backend":"bitsim64","pop":128,"gens":4000000000,"xover":10,"mut":1,"seed":7,"islands":2,"epoch":4,"epochs":1000000000}"#,
+        r#"{"fn":"F2","backend":"bitsim64","pop":16,"gens":8,"xover":10,"mut":1,"seed":7,"islands":2,"epoch":4,"epochs":2}"#,
+    ];
+    let jobs: Vec<GaJob> = lines
+        .iter()
+        .enumerate()
+        .map(|(i, l)| jsonl::parse_job(l, i).expect("the line parses"))
+        .collect();
+    jobs[0]
+        .validate()
+        .expect("the oversized job is valid on the wire");
+    let out = serve_batch(&jobs, &ServeConfig::default());
+    let err = out.results[0].outcome.clone().expect_err("refused");
+    assert_eq!(err.code(), "invalid_job", "{err}");
+    assert!(err.to_string().contains("step budget"), "{err}");
+    assert!(jsonl::result_line(&out.results[0]).contains("\"invalid_job\""));
+    assert!(
+        out.results[1].outcome.is_ok(),
+        "{:?}",
+        out.results[1].outcome
+    );
+    assert_eq!(out.stats.errors(), 1);
 }
 
 #[test]
