@@ -52,6 +52,19 @@ GA_BENCH_OUT="$SMOKE_DIR" GA_BENCH_QUICK=1 ./target/release/profile > /dev/null
     'bitsim64_gates_per_sec>=5e7' 'bitsim128_gates_per_sec>=1e8' \
     'bitsim256_gates_per_sec>=2e8' 'bitsim256_speedup_vs_64>=2'
 
+echo "== §IV-C speedup pinned exactly (all 6 seeds)"
+# The software side is the behavioral engine charging the PowerPC
+# OpCounts model, the hardware side is exact RTL cycles, so the §IV-C
+# figures are deterministic. Floor == ceiling at the committed
+# BENCH_speedup.json values: any change to the generational loop, its
+# step-cost charges or the RTL schedule fails here.
+cargo build -q --release -p ga-bench --bin speedup
+env -u GA_BENCH_QUICK GA_BENCH_OUT="$SMOKE_DIR" ./target/release/speedup > /dev/null
+./target/release/benchcheck "$SMOKE_DIR/BENCH_speedup.json" \
+    'seeds>=6' 'seeds<=6' 'hw_ms>=1.26633' 'hw_ms<=1.26633' \
+    'sw_ms>=6.161893888888889' 'sw_ms<=6.161893888888889' \
+    'speedup_uncached>=4.865946387504749' 'speedup_uncached<=4.865946387504749'
+
 echo "== fault-injection smoke (scan + netlist campaigns, quick grid)"
 # Quick grid: every 8th scan position and one injection cycle per
 # netlist site. The campaign invariant — every injection classified

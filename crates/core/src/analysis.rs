@@ -7,7 +7,8 @@
 //! points will be decreased"). This module turns that visual into
 //! numbers: distinct-candidate counts, mean pairwise Hamming distance,
 //! fitness entropy, and takeover time — computed per generation from a
-//! population snapshot.
+//! population snapshot — plus Table V's convergence generation, the one
+//! implementation of that rule every engine reports.
 
 use crate::behavioral::Individual;
 
@@ -100,12 +101,48 @@ pub fn takeover_time(snapshots: &[Vec<Individual>], fraction: f64) -> Option<usi
         .position(|pop| diversity(pop).takeover_fraction >= fraction)
 }
 
+/// Table V's "convergence" column: "the generation number when the
+/// difference in average fitness between the current generation and
+/// next generation is less than 5%". Interpreted as *settled
+/// permanently*: the first generation after which every subsequent
+/// generation-to-generation change of the population average stays
+/// below 5% (a single quiet window early in a still-improving run is
+/// not convergence). `points` are a run's `(gen, fit_sum)` pairs in
+/// order, generation 0 first; the average is `fit_sum / pop_size`.
+/// Returns `None` if the run never settled.
+///
+/// One pass, O(1) state: the answer only depends on the last window
+/// that still moved, so a run can feed its points as it goes.
+pub fn convergence_generation(
+    points: impl IntoIterator<Item = (u32, u32)>,
+    pop_size: u8,
+) -> Option<u32> {
+    let avg = |fit_sum: u32| fit_sum as f64 / pop_size as f64;
+    let mut points = points.into_iter();
+    let mut prev = avg(points.next()?.1);
+    // Generation the run has been settled from since the last window
+    // that moved (generation 1 at the earliest), and whether the final
+    // window seen so far moved — a run still moving at its end never
+    // settled.
+    let mut settled_from = None;
+    let mut last_moved = true;
+    for (gen, fit_sum) in points {
+        let next = avg(fit_sum);
+        last_moved = prev <= 0.0 || ((next - prev).abs() / prev) >= 0.05;
+        if last_moved || settled_from.is_none() {
+            settled_from = Some(gen);
+        }
+        prev = next;
+    }
+    settled_from.filter(|_| !last_moved)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::behavioral::GaEngine;
     use crate::params::GaParams;
-    use carng::CaRng;
+    use carng::{CaRng, Rng16};
     use ga_fitness::TestFunction;
 
     fn ind(chrom: u16, fitness: u16) -> Individual {
@@ -188,5 +225,85 @@ mod tests {
     #[should_panic]
     fn empty_population_rejected() {
         let _ = diversity(&[]);
+    }
+
+    #[test]
+    fn convergence_generation_detects_settling() {
+        let params = GaParams::new(32, 32, 10, 1, 10593);
+        let run = GaEngine::new(params, CaRng::new(params.seed), |c| {
+            TestFunction::Bf6.eval_u16(c)
+        })
+        .run();
+        let conv = convergence_generation(
+            run.history.iter().map(|s| (s.gen, s.fit_sum)),
+            params.pop_size,
+        );
+        assert!(conv.is_some(), "a 32-generation run settles (Table V)");
+        assert!(conv.unwrap() <= 32);
+    }
+
+    #[test]
+    fn short_histories_never_converge() {
+        assert_eq!(convergence_generation([], 8), None);
+        assert_eq!(convergence_generation([(0, 8)], 8), None);
+    }
+
+    #[test]
+    fn convergence_is_the_generation_after_the_last_moving_window() {
+        // Averages (pop 1): 100, 200, 205, 300, 301, 302 — the last
+        // ≥5% move is 205 → 300, so the run settled from generation 3.
+        let sums = [100, 200, 205, 300, 301, 302];
+        let points = || sums.iter().enumerate().map(|(g, &s)| (g as u32, s));
+        assert_eq!(convergence_generation(points(), 1), Some(3));
+        // Quiet from the start: settled from generation 1, not 0.
+        assert_eq!(convergence_generation([(0, 100), (1, 101)], 1), Some(1));
+        // Still moving at the end: never settled.
+        assert_eq!(convergence_generation(points().take(4), 1), None);
+        // A zero average counts as moving.
+        assert_eq!(convergence_generation([(0, 0), (1, 0)], 1), None);
+        assert_eq!(
+            convergence_generation([(0, 0), (1, 0), (2, 0)], 1),
+            None,
+            "an all-zero run never settles"
+        );
+    }
+
+    #[test]
+    fn convergence_matches_the_windowed_definition() {
+        // The rule as Table V states it, over the whole history at once:
+        // find the last window that moved ≥ 5%, settle from the
+        // generation after it (1 at the earliest), and never settle if
+        // that window is the final one.
+        fn windowed(points: &[(u32, u32)], pop: u8) -> Option<u32> {
+            let avg = |s: u32| s as f64 / pop as f64;
+            let last_moved = points.windows(2).rposition(|w| {
+                let (a, b) = (avg(w[0].1), avg(w[1].1));
+                a <= 0.0 || ((b - a).abs() / a) >= 0.05
+            });
+            let from = last_moved.map_or(0, |i| i + 1);
+            (from + 1 < points.len()).then(|| points[from.max(1)].0)
+        }
+        let mut rng = CaRng::new(0x2961);
+        for case in 0..2000u32 {
+            let len = (case % 12) as usize;
+            let mut sum = 1000u32;
+            let points: Vec<(u32, u32)> = (0..len)
+                .map(|g| {
+                    // Mostly small steps, some ≥ 5% jumps, some zeros.
+                    let r = rng.next_u16();
+                    sum = match r % 8 {
+                        0 => 0,
+                        1 => sum + 200,
+                        _ => sum + (r as u32 >> 12),
+                    };
+                    (g as u32, sum)
+                })
+                .collect();
+            assert_eq!(
+                convergence_generation(points.iter().copied(), 1),
+                windowed(&points, 1),
+                "{points:?}"
+            );
+        }
     }
 }

@@ -18,6 +18,7 @@
 //!    individual found.
 
 use carng::{Rng16, SnapshotRng};
+use hwsim::Deadline;
 
 use crate::ops;
 use crate::params::GaParams;
@@ -55,7 +56,7 @@ impl GenStats {
 
 /// Result of a complete optimization run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GaRun {
+pub struct GaRun<C = ()> {
     /// Best individual found over the whole run.
     pub best: Individual,
     /// Statistics for generation 0 (initial population) through the
@@ -65,35 +66,52 @@ pub struct GaRun {
     pub evaluations: u64,
     /// Number of 16-bit random numbers consumed.
     pub rng_draws: u64,
+    /// What the engine's [`StepCost`] charged over the run (`()` for
+    /// an uncosted run).
+    pub cost: C,
 }
 
-impl GaRun {
-    /// Table V's "convergence" column: "the generation number when the
-    /// difference in average fitness between the current generation and
-    /// next generation is less than 5%". Interpreted as *settled
-    /// permanently*: the first generation after which every subsequent
-    /// generation-to-generation change stays below 5% (a single quiet
-    /// window early in a still-improving run is not convergence).
-    /// Returns `None` if the run never settled.
-    pub fn convergence_generation(&self) -> Option<u32> {
-        if self.history.len() < 2 {
-            return None;
-        }
-        // Walk backward to find the last window that still moved ≥ 5%.
-        let mut settled_from = 0usize;
-        for (i, w) in self.history.windows(2).enumerate() {
-            let (a, b) = (w[0].avg(), w[1].avg());
-            let moved = a <= 0.0 || ((b - a).abs() / a) >= 0.05;
-            if moved {
-                settled_from = i + 1;
-            }
-        }
-        if settled_from + 1 >= self.history.len() {
-            None
-        } else {
-            Some(self.history[settled_from.max(1)].gen)
-        }
-    }
+/// One costed step of the generational loop, as [`GaEngine`] executes
+/// it. A [`StepCost`] turns the sequence into whatever it models (the
+/// software baseline's PowerPC operation mix, for one).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// One 16-bit RNG draw.
+    Draw,
+    /// One fitness evaluation.
+    Evaluate,
+    /// One evaluated member (initial or offspring) stored into the
+    /// population being built, with its running sum and best updated.
+    Store,
+    /// The elite copied into slot 0 of a new population.
+    Elite,
+    /// One proportionate selection took member `index`; `miss` when no
+    /// cumulative sum exceeded the threshold (all-zero fitness), so a
+    /// linear scan visits every member and falls through to the last.
+    Select {
+        /// Index of the chosen member.
+        index: usize,
+        /// Whether the scan fell through without a hit.
+        miss: bool,
+    },
+    /// One crossover decision (its fields already drawn).
+    Crossover,
+    /// One mutation decision (its fields already drawn).
+    Mutation,
+    /// One generation finished and the populations swapped.
+    Generation,
+}
+
+/// A cost model charged by [`GaEngine`] for every [`Step`] it executes.
+/// The unit type charges nothing and is the engine's default.
+pub trait StepCost {
+    /// Account for one executed step.
+    fn charge(&mut self, step: Step);
+}
+
+impl StepCost for () {
+    #[inline(always)]
+    fn charge(&mut self, _step: Step) {}
 }
 
 /// How the 4-bit operator fields are extracted from RNG draws — an
@@ -116,11 +134,14 @@ pub enum FieldMode {
 
 /// The behavioral GA engine, generic over the RNG implementation (the
 /// paper: "the operation of the GA core is independent of the RNG
-/// implementation") and the fitness function.
-pub struct GaEngine<R: Rng16, F: FnMut(u16) -> u16> {
+/// implementation"), the fitness function and the [`StepCost`] charged
+/// as it runs. It is the repo's one 16-bit generational loop: the
+/// software baseline is this engine charging `swga::OpCounts`.
+pub struct GaEngine<R: Rng16, F: FnMut(u16) -> u16, C: StepCost = ()> {
     params: GaParams,
     rng: R,
     fitness: F,
+    cost: C,
     cur: Vec<Individual>,
     /// Prefix sums of `cur`'s fitness ([`ops::prefix_sums`]), rebuilt at
     /// the top of every [`GaEngine::step_generation`] — their only use.
@@ -135,14 +156,24 @@ pub struct GaEngine<R: Rng16, F: FnMut(u16) -> u16> {
 }
 
 impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
-    /// Create an engine. The RNG is reseeded with `params.seed`.
-    pub fn new(params: GaParams, mut rng: R, fitness: F) -> Self {
+    /// Create an uncosted engine. The RNG is reseeded with
+    /// `params.seed`.
+    pub fn new(params: GaParams, rng: R, fitness: F) -> Self {
+        GaEngine::with_cost(params, rng, fitness, ())
+    }
+}
+
+impl<R: Rng16, F: FnMut(u16) -> u16, C: StepCost> GaEngine<R, F, C> {
+    /// Create an engine that charges every step it executes to `cost`.
+    /// The RNG is reseeded with `params.seed`.
+    pub fn with_cost(params: GaParams, mut rng: R, fitness: F, cost: C) -> Self {
         params.validate().expect("invalid GA parameters");
         rng.reseed(params.seed);
         GaEngine {
             params,
             rng,
             fitness,
+            cost,
             cur: Vec::with_capacity(params.pop_size as usize),
             prefix: Vec::with_capacity(params.pop_size as usize),
             best: Individual::default(),
@@ -189,11 +220,13 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
     }
 
     fn draw(&mut self) -> u16 {
+        self.cost.charge(Step::Draw);
         self.rng_draws += 1;
         self.rng.next_u16()
     }
 
     fn evaluate(&mut self, chrom: u16) -> u16 {
+        self.cost.charge(Step::Evaluate);
         self.evaluations += 1;
         (self.fitness)(chrom)
     }
@@ -212,7 +245,10 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
         self.rng_draws += chroms.len() as u64;
         let mut best = Individual::default();
         for (i, &chrom) in chroms.iter().enumerate() {
+            // The batched draws, charged one per member.
+            self.cost.charge(Step::Draw);
             let fitness = self.evaluate(chrom);
+            self.cost.charge(Step::Store);
             let ind = Individual { chrom, fitness };
             self.cur.push(ind);
             if i == 0 || fitness > best.fitness {
@@ -233,7 +269,14 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
     fn select(&mut self) -> Individual {
         let r = self.draw();
         let threshold = ops::selection_threshold(self.fit_sum, r);
-        self.cur[ops::select_index(&self.prefix, threshold)]
+        let index = ops::select_index(&self.prefix, threshold);
+        // The scan misses exactly when even the whole population's
+        // cumulative sum does not hit.
+        self.cost.charge(Step::Select {
+            index,
+            miss: !ops::selection_hit(self.fit_sum, threshold),
+        });
+        self.cur[index]
     }
 
     /// Breed one full generation (Fig. 2's inner loop) and swap
@@ -247,6 +290,7 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
         let mut new_best = self.best;
         if self.elitism {
             // Elitism: the best individual survives unmodified in slot 0.
+            self.cost.charge(Step::Elite);
             new_pop.push(self.best);
             new_sum = self.best.fitness as u32;
         } else {
@@ -262,6 +306,7 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
             // point, from the predefined bit positions (see
             // [`ops::xover_fields`] for why they must share a draw).
             let (xd, cut) = self.operator_fields(false);
+            self.cost.charge(Step::Crossover);
             let (o1, o2) = if ops::decision(xd, self.params.xover_threshold) {
                 ops::crossover(p1.chrom, p2.chrom, cut)
             } else {
@@ -272,10 +317,12 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
                     break;
                 }
                 let (md, point) = self.operator_fields(true);
+                self.cost.charge(Step::Mutation);
                 if ops::decision(md, self.params.mut_threshold) {
                     chrom = ops::mutate(chrom, point);
                 }
                 let fitness = self.evaluate(chrom);
+                self.cost.charge(Step::Store);
                 let ind = Individual { chrom, fitness };
                 if fitness > new_best.fitness {
                     new_best = ind;
@@ -285,6 +332,7 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
             }
         }
 
+        self.cost.charge(Step::Generation);
         self.cur = new_pop;
         self.fit_sum = new_sum;
         self.best = new_best;
@@ -301,32 +349,43 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
         }
     }
 
-    /// Run the full optimization cycle.
-    pub fn run(mut self) -> GaRun {
+    /// Run the full optimization cycle: [`GaEngine::run_with_deadline`]
+    /// without a deadline.
+    pub fn run(self) -> GaRun<C> {
+        self.run_with_deadline(None)
+            .expect("a run without a deadline completes")
+    }
+
+    /// Run the full optimization cycle (Fig. 2), recording every
+    /// generation's statistics. The `deadline` is checked between
+    /// generations, as [`crate::GaSystem::run_with_deadline`] checks it
+    /// between cycles, so an in-flight generation always completes.
+    /// Returns `None` when the deadline passed before the last one.
+    pub fn run_with_deadline(mut self, deadline: Option<&Deadline>) -> Option<GaRun<C>> {
         let mut history = Vec::with_capacity(self.params.n_gens as usize + 1);
-        history.push(self.init_population());
-        for _ in 0..self.params.n_gens {
-            history.push(self.step_generation());
-        }
+        let init = self.init_population();
         // With elitism the final generation's best IS the best ever;
-        // without it (ablation) the best can be lost, so report the
-        // best over the whole run.
-        let best = history
-            .iter()
-            .map(|s| s.best)
-            .fold(Individual::default(), |a, b| {
-                if b.fitness > a.fitness {
-                    b
-                } else {
-                    a
-                }
-            });
-        GaRun {
+        // without it (ablation) the best can be lost, so the run keeps
+        // the best over every generation.
+        let mut best = init.best;
+        history.push(init);
+        for _ in 0..self.params.n_gens {
+            if deadline.is_some_and(Deadline::is_past) {
+                return None;
+            }
+            let stats = self.step_generation();
+            if stats.best.fitness > best.fitness {
+                best = stats.best;
+            }
+            history.push(stats);
+        }
+        Some(GaRun {
             best,
             history,
             evaluations: self.evaluations,
             rng_draws: self.rng_draws,
-        }
+            cost: self.cost,
+        })
     }
 
     /// Current population (testing / differential checks).
@@ -566,15 +625,6 @@ mod tests {
     }
 
     #[test]
-    fn convergence_generation_detects_settling() {
-        let params = GaParams::new(32, 32, 10, 1, 10593);
-        let run = engine(TestFunction::Bf6, params).run();
-        let conv = run.convergence_generation();
-        assert!(conv.is_some(), "a 32-generation run settles (Table V)");
-        assert!(conv.unwrap() <= 32);
-    }
-
-    #[test]
     fn all_zero_fitness_population_does_not_panic() {
         let params = GaParams::new(8, 3, 10, 1, 0x5555);
         let run = GaEngine::new(params, CaRng::new(params.seed), |_| 0u16).run();
@@ -714,6 +764,100 @@ mod tests {
         assert_eq!(e.snapshot(), before, "failed restore leaves state alone");
         e.restore(&before).expect("a consistent snapshot restores");
         e.step_generation();
+    }
+
+    /// Counts every charge by kind.
+    #[derive(Debug, Default)]
+    struct Tally {
+        draws: u64,
+        evaluations: u64,
+        stores: u64,
+        elites: u64,
+        selections: u64,
+        crossovers: u64,
+        mutations: u64,
+        generations: u64,
+    }
+
+    impl StepCost for Tally {
+        fn charge(&mut self, step: Step) {
+            match step {
+                Step::Draw => self.draws += 1,
+                Step::Evaluate => self.evaluations += 1,
+                Step::Store => self.stores += 1,
+                Step::Elite => self.elites += 1,
+                Step::Select { .. } => self.selections += 1,
+                Step::Crossover => self.crossovers += 1,
+                Step::Mutation => self.mutations += 1,
+                Step::Generation => self.generations += 1,
+            }
+        }
+    }
+
+    #[test]
+    fn step_cost_sees_every_draw_evaluation_elite_and_generation() {
+        let params = GaParams::new(15, 6, 10, 1, 0x2961);
+        let gens = params.n_gens as u64;
+        for mode in [FieldMode::SharedDraw, FieldMode::ConsecutiveDraws] {
+            for elitism in [true, false] {
+                let f = TestFunction::Bf6;
+                let costed = GaEngine::with_cost(
+                    params,
+                    CaRng::new(params.seed),
+                    |c| f.eval_u16(c),
+                    Tally::default(),
+                )
+                .with_elitism(elitism)
+                .with_field_mode(mode)
+                .run();
+                let what = format!("{mode:?}, elitism {elitism}");
+                let t = &costed.cost;
+                assert_eq!(t.draws, costed.rng_draws, "{what}: draws");
+                assert_eq!(t.evaluations, costed.evaluations, "{what}: evaluations");
+                assert_eq!(t.generations, gens, "{what}: generations");
+                let elites = if elitism { gens } else { 0 };
+                assert_eq!(t.elites, elites, "{what}: elites");
+                assert_eq!(t.stores, costed.evaluations, "{what}: stores");
+                // Every operator takes one draw in the hardware's shared
+                // mode and two in the consecutive ablation.
+                let per_operator = match mode {
+                    FieldMode::SharedDraw => 1,
+                    FieldMode::ConsecutiveDraws => 2,
+                };
+                assert_eq!(
+                    t.draws,
+                    params.pop_size as u64
+                        + t.selections
+                        + per_operator * (t.crossovers + t.mutations),
+                    "{what}: draws per operator"
+                );
+                // Charging never changes the run.
+                let plain = GaEngine::new(params, CaRng::new(params.seed), |c| f.eval_u16(c))
+                    .with_elitism(elitism)
+                    .with_field_mode(mode)
+                    .run();
+                assert_eq!(
+                    (costed.best, &costed.history, costed.rng_draws),
+                    (plain.best, &plain.history, plain.rng_draws),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn deadline_is_checked_between_generations() {
+        let params = GaParams::new(8, 4, 10, 1, 0xB342);
+        let past = Deadline::after_ms(0);
+        assert_eq!(
+            engine(TestFunction::F3, params).run_with_deadline(Some(&past)),
+            None
+        );
+        let ample = Deadline::after_ms(60_000);
+        assert_eq!(
+            engine(TestFunction::F3, params).run_with_deadline(Some(&ample)),
+            Some(engine(TestFunction::F3, params).run())
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod snapshot;
 pub mod system;
 pub mod system32;
 
-pub use behavioral::{FieldMode, GaEngine, GaRun, GenStats, Individual};
+pub use behavioral::{FieldMode, GaEngine, GaRun, GenStats, Individual, Step, StepCost};
 pub use hwcore::GaCoreHw;
 pub use islands::{run_islands, IslandConfig, IslandMember, IslandRing, IslandRun, RingMember};
 pub use params::{GaParams, ParamIndex, PresetMode};

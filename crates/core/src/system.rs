@@ -13,7 +13,7 @@ use ga_fitness::fem::{Fem, FemBank, FemBankIn, FemIn};
 use hwsim::vcd::VcdVar;
 use hwsim::{Clocked, HandshakeMonitor, Sim, SimError, Trace, VcdWriter};
 
-use crate::behavioral::{GaRun, GenStats, Individual};
+use crate::behavioral::{GenStats, Individual};
 use crate::hwcore::GaCoreHw;
 use crate::memory::GaMemory;
 use crate::params::GaParams;
@@ -91,18 +91,6 @@ pub struct HwRun {
     pub history: Vec<GenStats>,
     /// RNG draws consumed (instrumentation).
     pub rng_draws: u64,
-}
-
-impl HwRun {
-    /// View as a [`GaRun`] for shared analysis code (convergence etc.).
-    pub fn as_ga_run(&self) -> GaRun {
-        GaRun {
-            best: self.best,
-            history: self.history.clone(),
-            evaluations: 0,
-            rng_draws: self.rng_draws,
-        }
-    }
 }
 
 /// The complete, wired GA system.

@@ -7,17 +7,18 @@
 //! (`GaParams::evaluations_per_run` is the single source of truth).
 
 use carng::{CaRng, Rng16, SnapshotRng};
+use ga_core::analysis::convergence_generation;
 use ga_core::behavioral::GenStats;
 use ga_core::scaling::GenStats32;
-use ga_core::{GaEngine, GaSystem, GaSystem32Hw};
+use ga_core::{GaEngine, GaSystem, GaSystem32Hw, StepCost};
 use ga_fitness::{FemBank, FemSlot, LookupFem};
 use hwsim::{Deadline, SimError};
-use swga::CountingGa;
+use swga::OpCounts;
 
 use crate::pack::{draws_per_run, try_ca_lane_streams, StreamRng};
 use crate::spec::{
-    convergence_generation, BackendKind, Capabilities, Engine, EngineError, Limits, Prepared,
-    RunOutcome, RunSpec, TrajPoint, Workload,
+    BackendKind, Capabilities, Engine, EngineError, Limits, Prepared, RunOutcome, RunSpec,
+    TrajPoint, Workload,
 };
 
 /// Build the lookup FEM realizing a workload on the RTL system: a paper
@@ -68,35 +69,35 @@ pub fn trajectory32(history: &[GenStats32]) -> Vec<TrajPoint> {
         .collect()
 }
 
-/// The behavioral loop shared by the `Behavioral` and `BitSim64`
-/// adapters (they differ only in where the RNG stream comes from). The
-/// deadline is checked between generations, so an in-flight generation
-/// always completes.
-fn run16<R: Rng16>(spec: &RunSpec, rng: R) -> Result<RunOutcome, EngineError> {
+/// Table V convergence of a backend-neutral trajectory.
+fn conv_gen(trajectory: &[TrajPoint], pop_size: u8) -> Option<u32> {
+    convergence_generation(trajectory.iter().map(|t| (t.gen, t.fit_sum)), pop_size)
+}
+
+/// One 16-bit run of `ga_core::GaEngine` under the spec's deadline
+/// (checked between generations), shared by the `Behavioral`,
+/// `BitSim64` and `Swga` adapters: they differ only in where the RNG
+/// stream comes from and in the [`StepCost`] charged.
+fn run16<R: Rng16, C: StepCost>(
+    spec: &RunSpec,
+    rng: R,
+    cost: C,
+) -> Result<RunOutcome, EngineError> {
     let params = spec.params;
     let f = spec.workload;
-    let mut deadline = spec.deadline_ms.map(Deadline::after_ms);
-    let mut engine = GaEngine::new(params, rng, move |c| f.eval_u16(c));
-    let mut history = Vec::with_capacity(params.n_gens as usize + 1);
-    history.push(engine.init_population());
-    for _ in 0..params.n_gens {
-        if let Some(d) = deadline.as_mut() {
-            if d.is_past() {
-                return Err(EngineError::DeadlineExceeded);
-            }
-        }
-        history.push(engine.step_generation());
-    }
-    let best = engine.best();
-    let trajectory = trajectory16(&history);
+    let deadline = spec.deadline_ms.map(Deadline::after_ms);
+    let run = GaEngine::with_cost(params, rng, move |c| f.eval_u16(c), cost)
+        .run_with_deadline(deadline.as_ref())
+        .ok_or(EngineError::DeadlineExceeded)?;
+    let trajectory = trajectory16(&run.history);
     Ok(RunOutcome {
-        best_chrom: best.chrom as u32,
-        best_fitness: best.fitness,
+        best_chrom: run.best.chrom as u32,
+        best_fitness: run.best.fitness,
         generations: params.n_gens,
-        evaluations: engine.evaluations(),
-        conv_gen: convergence_generation(&trajectory, params.pop_size),
+        evaluations: run.evaluations,
+        conv_gen: conv_gen(&trajectory, params.pop_size),
         cycles: None,
-        rng_draws: Some(engine.rng_draws()),
+        rng_draws: Some(run.rng_draws),
         trajectory,
     })
 }
@@ -137,7 +138,7 @@ impl Engine for BehavioralEngine {
 
     fn run(&self, prepared: &Prepared, _limits: &Limits) -> Result<RunOutcome, EngineError> {
         let spec = prepared.spec();
-        run16(spec, CaRng::new(spec.params.seed))
+        run16(spec, CaRng::new(spec.params.seed), ())
     }
 
     fn stepper(&self, prepared: &Prepared) -> Option<Box<dyn ga_core::IslandMember>> {
@@ -185,7 +186,7 @@ impl Engine for RtlInterpEngine {
             best_fitness: run.best.fitness,
             generations: spec.params.n_gens,
             evaluations: spec.params.evaluations_per_run(),
-            conv_gen: convergence_generation(&trajectory, spec.params.pop_size),
+            conv_gen: conv_gen(&trajectory, spec.params.pop_size),
             cycles: Some(run.cycles),
             rng_draws: Some(run.rng_draws),
             trajectory,
@@ -246,7 +247,7 @@ impl Engine for BitSim64Engine {
             Ok(streams) => prepared
                 .iter()
                 .zip(streams)
-                .map(|(p, stream)| run16(p.spec(), StreamRng::new(stream)))
+                .map(|(p, stream)| run16(p.spec(), StreamRng::new(stream), ()))
                 .collect(),
             Err(steps) => prepared
                 .iter()
@@ -273,11 +274,11 @@ impl Engine for BitSim64Engine {
     }
 }
 
-/// The instrumented software GA (`swga::CountingGa`) — the PowerPC
-/// reference implementation from the paper's Table VII comparison,
-/// exposed as a first-class backend. Coarse deadline support: the
-/// budget is checked once at admission-to-run time (the reference
-/// runs generations without an interior cancellation point).
+/// The instrumented software GA — the PowerPC reference implementation
+/// of the paper's §IV-C comparison, exposed as a first-class backend. It
+/// is the behavioral run (`run16` over the CA RNG) charging
+/// `swga::OpCounts`, so its deadline is checked between generations
+/// like the behavioral engine's.
 pub struct SwgaEngine;
 
 impl Engine for SwgaEngine {
@@ -300,24 +301,7 @@ impl Engine for SwgaEngine {
 
     fn run(&self, prepared: &Prepared, _limits: &Limits) -> Result<RunOutcome, EngineError> {
         let spec = prepared.spec();
-        if let Some(ms) = spec.deadline_ms {
-            if Deadline::after_ms(ms).is_past() {
-                return Err(EngineError::DeadlineExceeded);
-            }
-        }
-        let f = spec.workload;
-        let run = CountingGa::new(spec.params, move |c| f.eval_u16(c)).run();
-        let trajectory = trajectory16(&run.history);
-        Ok(RunOutcome {
-            best_chrom: run.best.chrom as u32,
-            best_fitness: run.best.fitness,
-            generations: spec.params.n_gens,
-            evaluations: run.evaluations,
-            conv_gen: convergence_generation(&trajectory, spec.params.pop_size),
-            cycles: None,
-            rng_draws: Some(run.ops.call),
-            trajectory,
-        })
+        run16(spec, CaRng::new(spec.params.seed), OpCounts::default())
     }
 }
 
@@ -361,7 +345,7 @@ impl Engine for Rtl32Engine {
             best_fitness: run.best.fitness,
             generations: spec.params.n_gens,
             evaluations: spec.params.evaluations_per_run(),
-            conv_gen: convergence_generation(&trajectory, spec.params.pop_size),
+            conv_gen: conv_gen(&trajectory, spec.params.pop_size),
             cycles: Some(sys.cycles() - start_cycles),
             rng_draws: None,
             trajectory,
@@ -547,16 +531,37 @@ mod tests {
     }
 
     #[test]
-    fn swga_matches_behavioral_trajectories() {
+    fn swga_matches_behavioral_outcomes() {
         let s = spec(16, GaParams::new(16, 8, 10, 1, 0xB342));
         let a = run_on(&BehavioralEngine, s).expect("behavioral runs");
         let w = run_on(&SwgaEngine, s).expect("swga runs");
-        assert_eq!(a.trajectory, w.trajectory, "same algorithm, same RNG");
-        assert_eq!(a.evaluations, w.evaluations);
         assert_eq!(
-            (a.best_chrom, a.best_fitness),
-            (w.best_chrom, w.best_fitness)
+            a, w,
+            "same loop, same RNG: charging OpCounts changes nothing"
         );
+    }
+
+    #[test]
+    fn outcome_convergence_is_the_history_rule() {
+        // The trajectory lifts each generation's (gen, fit_sum) intact,
+        // so the reported conv_gen is the Table V rule over the run's
+        // own history.
+        for f in TestFunction::ALL {
+            let params = GaParams::new(16, 24, 10, 1, 0x2961 ^ f as u16);
+            let mut s = spec(16, params);
+            s.workload = Workload::Function(f);
+            let outcome = run_on(&BehavioralEngine, s).expect("behavioral runs");
+            let run = GaEngine::new(params, CaRng::new(params.seed), |c| f.eval_u16(c)).run();
+            assert_eq!(
+                outcome.conv_gen,
+                convergence_generation(
+                    run.history.iter().map(|g| (g.gen, g.fit_sum)),
+                    params.pop_size
+                ),
+                "{}",
+                f.name()
+            );
+        }
     }
 
     #[test]

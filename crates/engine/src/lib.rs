@@ -17,7 +17,7 @@
 //! | `behavioral` | `ga_core::GaEngine` over the CA RNG | 16 |
 //! | `rtl` | `ga_core::GaSystem` (cycle-accurate) | 16 |
 //! | `bitsim64` | compiled netlist lane streams, 64-lane packs | 16 |
-//! | `swga` | `swga::CountingGa` (PowerPC reference) | 16 |
+//! | `swga` | `ga_core::GaEngine` charging `swga::OpCounts` (PowerPC reference) | 16 |
 //! | `rtl32` | `ga_core::GaSystem32Hw` (ganged dual core, Fig. 6) | 32 |
 //!
 //! `bitsim64` compiles the CA-RNG netlist and tabulates its consume
@@ -49,6 +49,6 @@ pub use islands::{
 pub use pack::{ca_lane_streams, draws_per_run, try_ca_lane_streams, CaRngTable, StreamRng};
 pub use registry::{global, EngineRegistry};
 pub use spec::{
-    convergence_generation, BackendKind, Capabilities, Engine, EngineError, Limits, Prepared,
-    RunOutcome, RunSpec, TrajPoint, Workload,
+    BackendKind, Capabilities, Engine, EngineError, Limits, Prepared, RunOutcome, RunSpec,
+    TrajPoint, Workload,
 };

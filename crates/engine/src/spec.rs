@@ -26,8 +26,8 @@ pub enum BackendKind {
     /// The compiled 64-lane netlist simulation: compatible jobs share
     /// one bit-sliced CA-RNG run, one job per lane.
     BitSim64,
-    /// The instrumented software GA (`swga::CountingGa`) — the paper's
-    /// PowerPC reference implementation.
+    /// The instrumented software GA — the behavioral engine charging
+    /// `swga::OpCounts`, the paper's PowerPC reference implementation.
     Swga,
     /// The ganged dual-core 32-bit system (`ga_core::GaSystem32Hw`,
     /// Fig. 6 / §III-D) for `width: 32` jobs.
@@ -307,32 +307,6 @@ pub struct RunOutcome {
     pub trajectory: Vec<TrajPoint>,
 }
 
-/// Table V convergence generation over a backend-neutral trajectory:
-/// the first generation after which the population-average fitness
-/// never again moves by ≥ 5% window over window. Exactly the algorithm
-/// of `ga_core::behavioral::GaRun::convergence_generation`, lifted to
-/// [`TrajPoint`] so every backend shares one implementation.
-pub fn convergence_generation(trajectory: &[TrajPoint], pop_size: u8) -> Option<u32> {
-    if trajectory.len() < 2 {
-        return None;
-    }
-    let avg = |t: &TrajPoint| t.fit_sum as f64 / pop_size as f64;
-    // Walk backward to find the last window that still moved ≥ 5%.
-    let mut settled_from = 0usize;
-    for (i, w) in trajectory.windows(2).enumerate() {
-        let (a, b) = (avg(&w[0]), avg(&w[1]));
-        let moved = a <= 0.0 || ((b - a).abs() / a) >= 0.05;
-        if moved {
-            settled_from = i + 1;
-        }
-    }
-    if settled_from + 1 >= trajectory.len() {
-        None
-    } else {
-        Some(trajectory[settled_from.max(1)].gen)
-    }
-}
-
 /// A GA execution backend. Object-safe: the registry stores
 /// `Box<dyn Engine>` and every consumer dispatches through it.
 pub trait Engine: Send + Sync {
@@ -380,8 +354,6 @@ pub trait Engine: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use carng::CaRng;
-    use ga_core::GaEngine;
 
     #[test]
     fn backend_names_roundtrip() {
@@ -473,43 +445,5 @@ mod tests {
         assert!(!EngineError::DeadlineExceeded.is_infrastructure());
         assert!(!EngineError::UnsupportedWidth { width: 8 }.is_infrastructure());
         assert!(!EngineError::InvalidSpec { msg: String::new() }.is_infrastructure());
-    }
-
-    #[test]
-    fn trajectory_convergence_matches_the_behavioral_run() {
-        // The lifted helper must agree with GaRun::convergence_generation
-        // on real runs across functions and seeds.
-        for f in TestFunction::ALL {
-            let params = GaParams::new(16, 24, 10, 1, 0x2961 ^ f as u16);
-            let run = GaEngine::new(params, CaRng::new(params.seed), |c| f.eval_u16(c)).run();
-            let traj: Vec<TrajPoint> = run
-                .history
-                .iter()
-                .map(|s| TrajPoint {
-                    gen: s.gen,
-                    best_chrom: s.best.chrom as u32,
-                    best_fitness: s.best.fitness,
-                    fit_sum: s.fit_sum,
-                })
-                .collect();
-            assert_eq!(
-                convergence_generation(&traj, params.pop_size),
-                run.convergence_generation(),
-                "{}",
-                f.name()
-            );
-        }
-    }
-
-    #[test]
-    fn short_trajectories_never_converge() {
-        assert_eq!(convergence_generation(&[], 8), None);
-        let p = TrajPoint {
-            gen: 0,
-            best_chrom: 1,
-            best_fitness: 1,
-            fit_sum: 8,
-        };
-        assert_eq!(convergence_generation(&[p], 8), None);
     }
 }

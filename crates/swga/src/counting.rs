@@ -1,21 +1,84 @@
 //! The instrumented software GA.
 //!
-//! Runs the exact algorithm of the IP core (same operators, same RNG,
-//! same draw order — reusing `ga_core::ops`) while tallying the dynamic
-//! operation mix a compiled C implementation executes on the PowerPC.
-//! Fitness evaluations are bus reads: the lookup ROM stays on the FPGA
-//! fabric exactly as in the paper's measurement setup.
+//! The software baseline runs the exact algorithm of the IP core (same
+//! operators, same RNG, same draw order), so it *is* the behavioral
+//! engine, [`GaEngine`], charging every step to [`OpCounts`]: the
+//! dynamic operation mix a compiled C implementation executes on the
+//! PowerPC. Fitness evaluations are bus reads: the lookup ROM stays on
+//! the FPGA fabric exactly as in the paper's measurement setup.
 //!
-//! The per-step op annotations are written next to the code they model;
-//! they correspond to a plain `-O2` compilation of the equivalent C
-//! (no vectorization on a PPC405).
+//! The per-step op annotations below correspond to a plain `-O2`
+//! compilation of the equivalent C (no vectorization on a PPC405).
 
-use carng::{CaRng, Rng16};
+use carng::CaRng;
 use ga_core::behavioral::{GenStats, Individual};
-use ga_core::ops;
-use ga_core::GaParams;
+use ga_core::{GaEngine, GaParams, Step, StepCost};
 
 use crate::cost::OpCounts;
+
+impl StepCost for OpCounts {
+    #[inline]
+    fn charge(&mut self, step: Step) {
+        match step {
+            // Software CA-RNG step: two shifts, two XORs, an AND, the
+            // state store, and the call overhead of `rand16()`.
+            Step::Draw => {
+                self.alu += 5;
+                self.store += 1;
+                self.call += 1;
+            }
+            // Argument marshaling + the PLB read of the fabric ROM.
+            Step::Evaluate => {
+                self.alu += 2;
+                self.bus_read += 1;
+            }
+            // Array stores + running sum + best check + loop overhead.
+            Step::Store => {
+                self.store += 2;
+                self.alu += 3;
+                self.branch += 2;
+            }
+            // Elite copy: two stores + bookkeeping.
+            Step::Elite => {
+                self.store += 2;
+                self.alu += 2;
+            }
+            // Proportionate selection: threshold scale (64-bit multiply
+            // = two `mullw`/`mulhw` + shift) then the cumulative scan.
+            // The modeled C program scans linearly, and that scan is
+            // what is charged: one load, ALU op and branch per member
+            // visited — the chosen index plus one, `pop` on a miss —
+            // plus the fall-through branch of a miss. The host finds the
+            // same member by binary search; that is not charged.
+            Step::Select { index, miss } => {
+                self.mul += 2;
+                self.alu += 2;
+                let visited = index as u64 + 1;
+                self.load += visited;
+                self.alu += visited;
+                self.branch += visited;
+                if miss {
+                    self.branch += 1;
+                }
+            }
+            // Crossover: field extraction + decision + mask algebra.
+            Step::Crossover => {
+                self.alu += 8;
+                self.branch += 1;
+            }
+            // Mutation: field extraction + decision + XOR.
+            Step::Mutation => {
+                self.alu += 4;
+                self.branch += 1;
+            }
+            // Swap population pointers + generation bookkeeping.
+            Step::Generation => {
+                self.alu += 4;
+                self.branch += 1;
+            }
+        }
+    }
+}
 
 /// Result of an instrumented software run.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,176 +90,36 @@ pub struct SwRun {
     /// Fitness evaluations (each is one bus read).
     pub evaluations: u64,
     /// Per-generation statistics, generation 0 (initial population)
-    /// included — same shape as the behavioral engine's history, so the
-    /// conformance suite can compare trajectories across engines. The
-    /// recording itself is *not* costed: the measured C program logs
-    /// nothing (the paper reads these values off Chipscope probes).
+    /// included. The recording itself is *not* costed: the measured C
+    /// program logs nothing (the paper reads these values off
+    /// Chipscope probes).
     pub history: Vec<GenStats>,
 }
 
-/// The instrumented software GA.
-pub struct CountingGa<F: FnMut(u16) -> u16> {
-    params: GaParams,
-    rng: CaRng,
-    fitness: F,
-    counts: OpCounts,
-    evaluations: u64,
-}
+/// The instrumented software GA: the behavioral engine over the CA RNG,
+/// charging [`OpCounts`].
+pub struct CountingGa<F: FnMut(u16) -> u16>(GaEngine<CaRng, F, OpCounts>);
 
 impl<F: FnMut(u16) -> u16> CountingGa<F> {
     /// Create the software optimizer. `fitness` stands in for the
     /// fabric lookup ROM; each call is costed as one PLB round trip.
     pub fn new(params: GaParams, fitness: F) -> Self {
-        params.validate().expect("invalid GA parameters");
-        CountingGa {
+        CountingGa(GaEngine::with_cost(
             params,
-            rng: CaRng::new(params.seed),
+            CaRng::new(params.seed),
             fitness,
-            counts: OpCounts::default(),
-            evaluations: 0,
-        }
-    }
-
-    /// Software CA-RNG step: two shifts, two XORs, an AND, the state
-    /// store, and the call overhead of `rand16()`.
-    fn draw(&mut self) -> u16 {
-        self.counts.alu += 5;
-        self.counts.store += 1;
-        self.counts.call += 1;
-        self.rng.next_u16()
-    }
-
-    /// One fitness evaluation: argument marshaling + the PLB read of
-    /// the fabric ROM.
-    fn evaluate(&mut self, chrom: u16) -> u16 {
-        self.counts.alu += 2;
-        self.counts.bus_read += 1;
-        self.evaluations += 1;
-        (self.fitness)(chrom)
-    }
-
-    /// Proportionate selection: threshold scale (64-bit multiply = two
-    /// `mullw`/`mulhw` + shift) then the cumulative scan (load, add,
-    /// compare-branch per member).
-    ///
-    /// The modeled C program scans linearly, and that scan is what is
-    /// charged: one load, ALU op and branch per member visited — the
-    /// chosen index plus one, `pop` on a miss — plus the fall-through
-    /// branch of a miss. The host finds the same member by
-    /// [`ops::select_index`] over the generation's `prefix` sums, whose
-    /// per-generation build is host-only and not charged.
-    fn select(&mut self, pop: &[Individual], prefix: &[u32], fit_sum: u32) -> Individual {
-        let r = self.draw();
-        self.counts.mul += 2;
-        self.counts.alu += 2;
-        let threshold = ops::selection_threshold(fit_sum, r);
-        let i = ops::select_index(prefix, threshold);
-        let visited = i as u64 + 1;
-        self.counts.load += visited;
-        self.counts.alu += visited;
-        self.counts.branch += visited;
-        if !ops::selection_hit(prefix[i], threshold) {
-            self.counts.branch += 1;
-        }
-        pop[i]
+            OpCounts::default(),
+        ))
     }
 
     /// Run the full optimization and return the op tally.
-    pub fn run(mut self) -> SwRun {
-        let pop_n = self.params.pop_size as usize;
-        let mut history = Vec::with_capacity(self.params.n_gens as usize + 1);
-
-        // --- initial population ---------------------------------------
-        let mut cur: Vec<Individual> = Vec::with_capacity(pop_n);
-        let mut fit_sum = 0u32;
-        let mut best = Individual::default();
-        for i in 0..pop_n {
-            let chrom = self.draw();
-            let fitness = self.evaluate(chrom);
-            // Array stores + running sum + best check + loop overhead.
-            self.counts.store += 2;
-            self.counts.alu += 3;
-            self.counts.branch += 2;
-            if i == 0 || fitness > best.fitness {
-                best = Individual { chrom, fitness };
-            }
-            fit_sum += fitness as u32;
-            cur.push(Individual { chrom, fitness });
-        }
-        history.push(GenStats {
-            gen: 0,
-            best,
-            fit_sum,
-            pop_size: self.params.pop_size,
-        });
-
-        // --- generations ----------------------------------------------
-        let mut prefix = Vec::with_capacity(pop_n);
-        for gen in 0..self.params.n_gens {
-            ops::prefix_sums(cur.iter().map(|i| i.fitness), &mut prefix);
-            let mut new_pop = Vec::with_capacity(pop_n);
-            // Elite copy: two stores + bookkeeping.
-            self.counts.store += 2;
-            self.counts.alu += 2;
-            new_pop.push(best);
-            let mut new_sum = best.fitness as u32;
-            let mut new_best = best;
-
-            while new_pop.len() < pop_n {
-                let p1 = self.select(&cur, &prefix, fit_sum);
-                let p2 = self.select(&cur, &prefix, fit_sum);
-                // Crossover: field extraction + decision + mask algebra.
-                let (xd, cut) = ops::xover_fields(self.draw());
-                self.counts.alu += 8;
-                self.counts.branch += 1;
-                let (o1, o2) = if ops::decision(xd, self.params.xover_threshold) {
-                    ops::crossover(p1.chrom, p2.chrom, cut)
-                } else {
-                    (p1.chrom, p2.chrom)
-                };
-                for mut chrom in [o1, o2] {
-                    if new_pop.len() >= pop_n {
-                        break;
-                    }
-                    // Mutation: field extraction + decision + XOR.
-                    let (md, point) = ops::mut_fields(self.draw());
-                    self.counts.alu += 4;
-                    self.counts.branch += 1;
-                    if ops::decision(md, self.params.mut_threshold) {
-                        chrom = ops::mutate(chrom, point);
-                    }
-                    let fitness = self.evaluate(chrom);
-                    // Store offspring, accumulate sum, track best, loop.
-                    self.counts.store += 2;
-                    self.counts.alu += 3;
-                    self.counts.branch += 2;
-                    let ind = Individual { chrom, fitness };
-                    if fitness > new_best.fitness {
-                        new_best = ind;
-                    }
-                    new_sum += fitness as u32;
-                    new_pop.push(ind);
-                }
-            }
-            // Swap population pointers + generation bookkeeping.
-            self.counts.alu += 4;
-            self.counts.branch += 1;
-            cur = new_pop;
-            fit_sum = new_sum;
-            best = new_best;
-            history.push(GenStats {
-                gen: gen + 1,
-                best,
-                fit_sum,
-                pop_size: self.params.pop_size,
-            });
-        }
-
+    pub fn run(self) -> SwRun {
+        let run = self.0.run();
         SwRun {
-            best,
-            ops: self.counts,
-            evaluations: self.evaluations,
-            history,
+            best: run.best,
+            ops: run.cost,
+            evaluations: run.evaluations,
+            history: run.history,
         }
     }
 }
@@ -255,6 +178,18 @@ mod tests {
         .run();
         // Selection is O(pop²) per generation: ops grow superlinearly.
         assert!(large.ops.total_ops() > 8 * small.ops.total_ops());
+    }
+
+    #[test]
+    fn all_zero_fitness_selections_scan_everyone_and_miss() {
+        // pop 8 breeds 7 offspring per generation: 4 pairs, so 8
+        // selections, 4 crossovers and 7 mutations. With every fitness
+        // 0 each selection scans all 8 members and takes the miss branch.
+        let sw = CountingGa::new(GaParams::new(8, 3, 10, 1, 0x5555), |_| 0).run();
+        assert_eq!(sw.ops.load, 3 * 8 * 8);
+        let stores = 8 + 3 * 7;
+        let branches = 2 * stores + 3 * 4 + 3 * 7 + 3 + 3 * 8 * (8 + 1);
+        assert_eq!(sw.ops.branch, branches);
     }
 
     #[test]

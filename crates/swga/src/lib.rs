@@ -13,9 +13,11 @@
 //! cycles (the paper itself computes hardware time as counter × clock
 //! period):
 //!
-//! * [`counting::CountingGa`] — the software GA, draw-identical to the
-//!   IP core's algorithm, instrumented with an operation counter whose
-//!   categories map onto PPC405 instruction classes;
+//! * [`counting::CountingGa`] — the software GA. It is no second copy
+//!   of Fig. 2: it is `ga_core::GaEngine` (the repo's one 16-bit
+//!   generational loop, so draw-identical to the IP core) charging every
+//!   step to an [`OpCounts`] operation counter whose categories map onto
+//!   PPC405 instruction classes;
 //! * [`cost::PpcCostModel`] — per-class cycle costs (documented against
 //!   the PPC405 pipeline and PLB bus latency) that convert counts into
 //!   seconds;
