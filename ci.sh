@@ -24,8 +24,8 @@ echo "== perfbench batch-heavy smoke (2 s, every served answer checked)"
 # Every served answer is checked byte for byte against a single-threaded
 # reference — exact RTL cycles and full trajectories included — while
 # the 2 serve threads race the lazy first builds of the shared fitness
-# ROMs and of the tabulated CA-RNG netlist that every bitsim64 lane
-# stream walks. Any wrong, missing or untyped answer exits nonzero.
+# ROMs and of the tabulated CA-RNG netlist that every bitsim64 draw
+# walks. Any wrong, missing or untyped answer exits nonzero.
 ./perfbench/target/release/perfbench --workload batch-heavy --seconds 2 --trace 0 > /dev/null
 
 echo "== galint --format json"
@@ -163,17 +163,28 @@ diff -u tests/fixtures/results16_golden.jsonl "$SMOKE_DIR/results16.jsonl"
     --require-backend-throughput 'jobs>=15' 'jobs_per_sec>=25' \
     'netlist_cache_hits>=1' 'degraded_jobs<=0'
 
-echo "== gaserved: an oversized bitsim64 island stream is a typed error"
-# A valid island job whose stepping handles would each need a
-# 1.28e12-draw CA-RNG lane stream. The stepper's up-front step budget
-# must refuse it as exactly one typed invalid_job line in wire position
-# (without the budget the process aborts on a terabyte allocation).
-echo '{"fn":"F2","backend":"bitsim64","pop":128,"gens":4000000000,"xover":10,"mut":1,"seed":7,"islands":2,"epoch":4,"epochs":1000000000}' \
-    | GA_BENCH_OUT="$SMOKE_DIR" ./target/release/gaserved \
+echo "== gaserved: an oversized job line is a typed error on every backend"
+# One well-formed line per backend, each asking for about 5e11 fitness
+# evaluations: 4e9 generations at pop 128, solo on behavioral, swga and
+# rtl, at width 32 on rtl32, and as an island job on bitsim64. Admission
+# refuses any run past ga_engine::MAX_EVALUATIONS (2^21, 4x the Table IV
+# Large preset's 520 320) and any island ring past 1024x that in total,
+# so each line must come back as exactly one typed invalid_job line in
+# wire position and gaserved must exit 0. Without the bound, the behavioral and swga lines
+# abort the process on a 64 GB history allocation.
+for line in \
+    '{"fn":"F2","backend":"behavioral","pop":128,"gens":4000000000,"xover":10,"mut":1,"seed":7}' \
+    '{"fn":"F2","backend":"swga","pop":128,"gens":4000000000,"xover":10,"mut":1,"seed":7}' \
+    '{"fn":"F2","backend":"rtl","pop":128,"gens":4000000000,"xover":10,"mut":1,"seed":7}' \
+    '{"fn":"F2","backend":"rtl32","width":32,"pop":128,"gens":4000000000,"xover":10,"mut":1,"seed":7}' \
+    '{"fn":"F2","backend":"bitsim64","pop":128,"gens":4000000000,"xover":10,"mut":1,"seed":7,"islands":2,"epoch":4,"epochs":1000000000}'; do
+    backend="$(echo "$line" | sed 's/.*"backend":"\([a-z0-9]*\)".*/\1/')"
+    echo "$line" | GA_BENCH_OUT="$SMOKE_DIR" ./target/release/gaserved \
         --input /dev/stdin --out "$SMOKE_DIR/oversized.jsonl" 2> /dev/null
-test "$(wc -l < "$SMOKE_DIR/oversized.jsonl")" -eq 1
-grep -q '^{"job":0,"backend":"bitsim64","ok":false,"error":"invalid_job",' \
-    "$SMOKE_DIR/oversized.jsonl"
+    test "$(wc -l < "$SMOKE_DIR/oversized.jsonl")" -eq 1
+    grep -q "^{\"job\":0,\"backend\":\"$backend\",\"ok\":false,\"error\":\"invalid_job\"," \
+        "$SMOKE_DIR/oversized.jsonl"
+done
 
 echo "== serve bench (200-job acceptance batch, pack-path throughput floor)"
 # The pack-path + cache gate. The 200-job batch cycles the five

@@ -5,8 +5,8 @@
 //! The ring is driven through the engine layer's [`IslandsEngine`]
 //! composite, so any registered backend with a stepping handle can
 //! serve as the island population engine: the default is `behavioral`;
-//! set `GA_BENCH_BACKEND=bitsim64` to run the same ring over
-//! netlist-extracted lane streams (proven bit-identical by the engine
+//! set `GA_BENCH_BACKEND=bitsim64` to run the same ring over the
+//! tabulated CA-RNG netlist (proven bit-identical by the engine
 //! crate's cross-backend island test).
 //!
 //! Two questions, answered over the six paper seeds on BF6:

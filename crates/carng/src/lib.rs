@@ -90,11 +90,11 @@ pub trait Rng16 {
 /// has taken so far and the value the **next** `next_u16` call will
 /// return. That pair is backend-neutral: for register generators
 /// ([`CaRng`], [`Lfsr16`]) the next output *is* the state, so `load`
-/// simply reinstalls it (ignoring `consumed`); for the engine crate's
-/// pre-extracted lane streams, `consumed` is the stream cursor and
-/// `next` is a cross-check against the stored stream. Restoring a
-/// behavioral snapshot into a stream-backed stepper (or vice versa)
-/// therefore works, which is what makes cross-backend resume possible.
+/// simply reinstalls it (ignoring `consumed`); the engine crate's
+/// `TableRng` walks `consumed` steps from its seed and checks that it
+/// lands on `next`. Restoring a behavioral snapshot into a table-backed
+/// stepper (or vice versa) therefore works, which is what makes
+/// cross-backend resume possible.
 pub trait SnapshotRng: Rng16 {
     /// The value the next `next_u16` call will return.
     fn save(&self) -> u16 {

@@ -27,7 +27,7 @@ use crate::snapshot::{EngineSnapshot, SnapshotError};
 /// report its elite, and accept a migrant. [`GaEngine`] implements it
 /// for every RNG source, which is what lets the engine-layer composite
 /// (`ga-engine`'s `IslandsEngine`) run islands over *any* stepping
-/// backend — behavioral CA, LFSR, or a bitsim64 lane stream.
+/// backend — behavioral CA, LFSR, or the bitsim64 netlist table.
 pub trait IslandMember: Send {
     /// Generate and evaluate the random initial population.
     fn init_population(&mut self);

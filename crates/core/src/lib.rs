@@ -45,4 +45,4 @@ pub use ports::{GaCoreComb, GaCoreIn, GaCoreOut};
 pub use scaling::GaEngine32;
 pub use snapshot::{EngineSnapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use system::{GaSystem, HwRun, UserIn};
-pub use system32::GaSystem32 as GaSystem32Hw;
+pub use system32::GaSystem32;

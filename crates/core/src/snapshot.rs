@@ -6,7 +6,7 @@
 //! bookkeeping counters, and the RNG position as the backend-neutral
 //! *(draws consumed, next draw)* pair (see [`carng::SnapshotRng`]).
 //! Restoring a snapshot taken on one stepping backend into another —
-//! behavioral CA register vs. a bitsim lane stream — reproduces the
+//! behavioral CA register vs. the bitsim64 netlist table — reproduces the
 //! remaining trajectory bit-for-bit, which is what makes sharded
 //! multi-process islands resumable after a crash.
 //!
@@ -173,6 +173,10 @@ impl<'a> ByteReader<'a> {
 }
 
 impl EngineSnapshot {
+    /// Encoded size of a snapshot of a `MAX_POP` population: 45 bytes of
+    /// header and counters, then 4 bytes per member.
+    pub const MAX_ENCODED_LEN: usize = 45 + 4 * GaParams::MAX_POP as usize;
+
     /// Serialize to the versioned binary format.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(48 + 4 * self.population.len());

@@ -10,12 +10,12 @@ use carng::{CaRng, Rng16, SnapshotRng};
 use ga_core::analysis::convergence_generation;
 use ga_core::behavioral::GenStats;
 use ga_core::scaling::GenStats32;
-use ga_core::{GaEngine, GaSystem, GaSystem32Hw, StepCost};
+use ga_core::{GaEngine, GaSystem, GaSystem32, StepCost};
 use ga_fitness::{FemBank, FemSlot, LookupFem};
 use hwsim::{Deadline, SimError};
 use swga::OpCounts;
 
-use crate::pack::{draws_per_run, try_ca_lane_streams, StreamRng};
+use crate::pack::TableRng;
 use crate::spec::{
     BackendKind, Capabilities, Engine, EngineError, Limits, Prepared, RunOutcome, RunSpec,
     TrajPoint, Workload,
@@ -76,8 +76,9 @@ fn conv_gen(trajectory: &[TrajPoint], pop_size: u8) -> Option<u32> {
 
 /// One 16-bit run of `ga_core::GaEngine` under the spec's deadline
 /// (checked between generations), shared by the `Behavioral`,
-/// `BitSim64` and `Swga` adapters: they differ only in where the RNG
-/// stream comes from and in the [`StepCost`] charged.
+/// `BitSim64` and `Swga` adapters: they differ only in the RNG
+/// (`CaRng` or the netlist's [`TableRng`]) and in the [`StepCost`]
+/// charged.
 fn run16<R: Rng16, C: StepCost>(
     spec: &RunSpec,
     rng: R,
@@ -103,8 +104,8 @@ fn run16<R: Rng16, C: StepCost>(
 }
 
 /// A stepping handle over the behavioral engine with an arbitrary RNG
-/// source — the island-member factory both 16-bit stepping adapters
-/// share. The RNG must be snapshot-capable: stepping handles are the
+/// — the island-member factory both 16-bit stepping adapters share.
+/// The RNG must be snapshot-capable: stepping handles are the
 /// checkpoint/resume surface ([`ga_core::IslandMember::snapshot`]).
 fn stepper16<R: SnapshotRng + Send + 'static>(
     spec: &RunSpec,
@@ -115,7 +116,7 @@ fn stepper16<R: SnapshotRng + Send + 'static>(
 }
 
 /// The behavioral reference engine (`ga_core::GaEngine` over the CA
-/// RNG). The fallback target for infrastructure degradation.
+/// RNG).
 pub struct BehavioralEngine;
 
 impl Engine for BehavioralEngine {
@@ -127,12 +128,7 @@ impl Engine for BehavioralEngine {
         Capabilities {
             widths: &[16],
             pack_width: 1,
-            deadline: true,
-            watchdog: false,
-            reports_cycles: false,
-            fault_injection: false,
             stepping: true,
-            degrades_to: None,
         }
     }
 
@@ -161,12 +157,7 @@ impl Engine for RtlInterpEngine {
         Capabilities {
             widths: &[16],
             pack_width: 1,
-            deadline: true,
-            watchdog: true,
-            reports_cycles: true,
-            fault_injection: true,
             stepping: false,
-            degrades_to: None,
         }
     }
 
@@ -194,12 +185,12 @@ impl Engine for RtlInterpEngine {
     }
 }
 
-/// The compiled-netlist backend: each lane's CA-RNG stream is walked
-/// through the synthesized netlist's tabulated consume edge
-/// ([`crate::pack::CaRngTable`], built once per process by simulating
-/// the compiled netlist), then each lane finishes as an ordinary
-/// behavioral run over its [`StreamRng`]. Up to 64 jobs sharing one
-/// draw schedule run as one pack.
+/// The compiled-netlist backend: the behavioral run over a
+/// [`TableRng`], which draws by walking the synthesized CA-RNG
+/// netlist's tabulated consume edge ([`crate::pack::CaRngTable`],
+/// built once per process by simulating the compiled netlist). Its
+/// `pack_width` of 64 only groups jobs in the serving layer; each runs
+/// on its own.
 pub struct BitSim64Engine;
 
 impl Engine for BitSim64Engine {
@@ -211,66 +202,18 @@ impl Engine for BitSim64Engine {
         Capabilities {
             widths: &[16],
             pack_width: 64,
-            deadline: true,
-            watchdog: true,
-            reports_cycles: false,
-            fault_injection: false,
             stepping: true,
-            degrades_to: Some(BackendKind::Behavioral),
         }
     }
 
-    fn run(&self, prepared: &Prepared, limits: &Limits) -> Result<RunOutcome, EngineError> {
-        // A solo run is a pack of one: the lane stream still comes from
-        // the compiled netlist, not `CaRng`.
-        self.run_pack(std::slice::from_ref(prepared), limits)
-            .pop()
-            .expect("one lane requested")
-    }
-
-    fn run_pack(
-        &self,
-        prepared: &[Prepared],
-        limits: &Limits,
-    ) -> Vec<Result<RunOutcome, EngineError>> {
-        debug_assert!(!prepared.is_empty() && prepared.len() <= 64);
-        debug_assert!(
-            prepared.windows(2).all(|w| {
-                let (a, b) = (w[0].spec().params, w[1].spec().params);
-                (a.pop_size, a.n_gens) == (b.pop_size, b.n_gens)
-            }),
-            "packed specs must share one RNG draw schedule"
-        );
-        let draws = draws_per_run(&prepared[0].spec().params) as usize;
-        let seeds: Vec<u16> = prepared.iter().map(|p| p.spec().params.seed).collect();
-        match try_ca_lane_streams(&seeds, draws, limits.stream_watchdog_steps) {
-            Ok(streams) => prepared
-                .iter()
-                .zip(streams)
-                .map(|(p, stream)| run16(p.spec(), StreamRng::new(stream), ()))
-                .collect(),
-            Err(steps) => prepared
-                .iter()
-                .map(|_| Err(EngineError::Watchdog { cycles: steps }))
-                .collect(),
-        }
+    fn run(&self, prepared: &Prepared, _limits: &Limits) -> Result<RunOutcome, EngineError> {
+        let spec = prepared.spec();
+        run16(spec, TableRng::new(spec.params.seed), ())
     }
 
     fn stepper(&self, prepared: &Prepared) -> Option<Box<dyn ga_core::IslandMember>> {
-        // Stepping needs the whole stream up front: extract the draws a
-        // full run of `n_gens` generations consumes (an island driver
-        // runs epoch × epochs = n_gens generations total) plus one — a
-        // snapshot taken after the final generation still records the
-        // *next* draw, which is how a stream checkpoint restores into a
-        // register-RNG backend. The extraction runs under the default
-        // step budget: a stream past it is refused (no handle), never
-        // allocated.
         let spec = prepared.spec();
-        let draws = usize::try_from(draws_per_run(&spec.params) + 1).ok()?;
-        let budget = Limits::default().stream_watchdog_steps;
-        let mut streams = try_ca_lane_streams(&[spec.params.seed], draws, budget).ok()?;
-        let stream = streams.pop().expect("one lane requested");
-        Some(stepper16(spec, StreamRng::new(stream)))
+        Some(stepper16(spec, TableRng::new(spec.params.seed)))
     }
 }
 
@@ -290,12 +233,7 @@ impl Engine for SwgaEngine {
         Capabilities {
             widths: &[16],
             pack_width: 1,
-            deadline: true,
-            watchdog: false,
-            reports_cycles: false,
-            fault_injection: false,
             stepping: false,
-            degrades_to: None,
         }
     }
 
@@ -305,7 +243,7 @@ impl Engine for SwgaEngine {
     }
 }
 
-/// The ganged dual-core 32-bit system (`ga_core::GaSystem32Hw`,
+/// The ganged dual-core 32-bit system (`ga_core::GaSystem32`,
 /// Fig. 6 / §III-D): two lockstep 16-bit cores behind the
 /// `scalingLogic_parSel` block, evaluating the concatenated candidate
 /// with [`TestFunction::eval_u32_split`].
@@ -320,19 +258,14 @@ impl Engine for Rtl32Engine {
         Capabilities {
             widths: &[32],
             pack_width: 1,
-            deadline: true,
-            watchdog: true,
-            reports_cycles: true,
-            fault_injection: false,
             stepping: false,
-            degrades_to: None,
         }
     }
 
     fn run(&self, prepared: &Prepared, limits: &Limits) -> Result<RunOutcome, EngineError> {
         let spec = prepared.spec();
         let f = spec.workload;
-        let mut sys = GaSystem32Hw::new(move |c: u32| f.eval_u32_split(c));
+        let mut sys = GaSystem32::new(move |c: u32| f.eval_u32_split(c));
         sys.program(&spec.params);
         let start_cycles = sys.cycles();
         let mut deadline = spec.deadline_ms.map(Deadline::after_ms);
@@ -383,10 +316,15 @@ mod tests {
 
     #[test]
     fn behavioral_and_bitsim_agree_exactly() {
-        let s = spec(16, GaParams::new(16, 6, 10, 1, 0x2961));
-        let a = run_on(&BehavioralEngine, s).expect("behavioral runs");
-        let b = run_on(&BitSim64Engine, s).expect("bitsim runs");
-        assert_eq!(a, b, "netlist-streamed lane must match the reference RNG");
+        for seed in [0, 1, 0x2961, 0xFFFF] {
+            let s = spec(16, GaParams::new(16, 6, 10, 1, seed));
+            let a = run_on(&BehavioralEngine, s).expect("behavioral runs");
+            let b = run_on(&BitSim64Engine, s).expect("bitsim runs");
+            assert_eq!(
+                a, b,
+                "seed {seed:#06x}: the netlist table must match the reference RNG"
+            );
+        }
     }
 
     #[test]
@@ -495,21 +433,37 @@ mod tests {
     }
 
     #[test]
-    fn watchdogs_are_typed_and_infrastructure() {
+    fn watchdogs_are_typed() {
         let s = spec(16, GaParams::new(8, 4, 10, 1, 0xB342));
         let tight = Limits {
             sim_watchdog_cycles: 10,
-            stream_watchdog_steps: 4,
         };
         let rtl = RtlInterpEngine
             .run(&RtlInterpEngine.prepare(s).expect("admits"), &tight)
             .expect_err("tight watchdog trips");
         assert_eq!(rtl, EngineError::Watchdog { cycles: 10 });
-        let bit = BitSim64Engine
-            .run(&BitSim64Engine.prepare(s).expect("admits"), &tight)
-            .expect_err("tight watchdog trips");
-        assert_eq!(bit, EngineError::Watchdog { cycles: 4 });
-        assert!(bit.is_infrastructure());
+    }
+
+    #[test]
+    fn every_engine_refuses_work_past_the_admission_bound() {
+        // 4e9 generations at pop 128: admitted by the parameter ranges,
+        // refused by the work bound before any run allocates.
+        let params = GaParams::new(128, 4_000_000_000, 10, 1, 7);
+        for e in [
+            &BehavioralEngine as &dyn Engine,
+            &RtlInterpEngine,
+            &BitSim64Engine,
+            &SwgaEngine,
+            &Rtl32Engine,
+        ] {
+            let width = e.capabilities().widths[0];
+            match e.prepare(spec(width, params)) {
+                Err(EngineError::InvalidSpec { msg }) => {
+                    assert!(msg.contains("admission bound"), "{msg}")
+                }
+                other => panic!("{} admitted the job: {other:?}", e.kind().name()),
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The compiled-netlist cache: elaborate, compile and tabulate the
-//! CA-RNG netlist once and share the result across every pack.
+//! CA-RNG netlist once and share the result across every run.
 //!
-//! Every `bitsim64` pack and stepping handle draws its lane streams
-//! from the same synthesized design — the CA-RNG netlist. Rebuilding it
-//! per pack would pay validate + Kahn-sort + flatten, and then the
+//! Every `bitsim64` run and stepping handle draws from the same
+//! synthesized design — the CA-RNG netlist. Rebuilding it per run
+//! would pay validate + Kahn-sort + flatten, and then the
 //! 65 536-state consume-edge simulation, on work that never changes, so
 //! the engine layer keeps one process-wide artifact instead: a
 //! [`CaRngTable`] holding the compiled netlist and its tabulated

@@ -1,8 +1,8 @@
 //! The island-model composite: `ga_core::islands::IslandRing` lifted
 //! onto the engine layer, so the ring-migration driver can run over
 //! *any* registered backend that exposes a stepping handle
-//! ([`crate::Capabilities::stepping`]) — the behavioral CA engine or a
-//! bitsim64 netlist lane stream, interchangeably — and so the run can
+//! ([`crate::Capabilities::stepping`]) — the behavioral CA engine or
+//! the bitsim64 netlist table, interchangeably — and so the run can
 //! be checkpointed after every epoch and resumed bit-identically after
 //! a crash ([`CheckpointBundle`], [`IslandsEngine::resume`]).
 
@@ -12,13 +12,21 @@ use ga_core::islands::{
 use ga_core::snapshot::{hex_decode, hex_encode, EngineSnapshot, SnapshotError};
 use ga_core::GaParams;
 
-use crate::spec::{Engine, EngineError, RunSpec};
+use crate::spec::{Engine, EngineError, Prepared, RunSpec};
 
 /// Current checkpoint-bundle format version. Decoders reject newer.
 pub const CHECKPOINT_VERSION: u8 = 1;
 
 /// Bundle magic: "GC" (GA checkpoint).
 const MAGIC: [u8; 2] = *b"GC";
+
+/// Bundle header bytes: magic, version, then five `u32` words (islands,
+/// epoch, epochs, epochs done, member count).
+const HEADER_LEN: usize = 3 + 5 * 4;
+
+/// The most islands one ring runs: the wire's `islands` range is
+/// 1–1024.
+pub const MAX_ISLANDS: usize = 1024;
 
 /// Everything needed to resume an island run from an epoch barrier:
 /// the ring configuration, how many epochs already ran, and one
@@ -40,6 +48,12 @@ pub struct CheckpointBundle {
 }
 
 impl CheckpointBundle {
+    /// Encoded size of the largest bundle the format admits:
+    /// [`MAX_ISLANDS`] members, each a length-prefixed `MAX_POP`
+    /// snapshot.
+    pub const MAX_ENCODED_LEN: usize =
+        HEADER_LEN + MAX_ISLANDS * (4 + EngineSnapshot::MAX_ENCODED_LEN);
+
     /// Serialize to the versioned binary format.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -102,7 +116,7 @@ impl CheckpointBundle {
                 what: "checkpoint is past the configured epochs",
             });
         }
-        let mut members = Vec::with_capacity(count.min(1024));
+        let mut members = Vec::with_capacity(count.min(MAX_ISLANDS));
         for _ in 0..count {
             let len = u32_at(&mut pos)? as usize;
             members.push(EngineSnapshot::decode(take(&mut pos, len)?)?);
@@ -168,9 +182,10 @@ impl CheckpointBundle {
 
 /// Island *k* of an `islands`-ring over `engine`: the spec with its
 /// seed moved to the island's [`island_seed`] slot, prepared and opened
-/// as a stepping handle. Stream-backed members extract exactly the
-/// draws `spec.params.n_gens` generations consume, so `n_gens` must be
-/// the full `epoch × epochs` schedule. The member is not yet
+/// as a stepping handle. Admission is the ring's
+/// ([`crate::Capabilities::admit_ring`]): `islands` members of
+/// `n_gens` generations (the full `epoch × epochs` schedule) share
+/// `MAX_ISLANDS × MAX_EVALUATIONS` evaluations. The member is not yet
 /// positioned: the caller generates its initial population or restores
 /// a snapshot.
 pub fn island_member(
@@ -183,16 +198,11 @@ pub fn island_member(
         seed: island_seed(spec.params.seed, k, islands),
         ..spec.params
     };
-    let prepared = engine.prepare(RunSpec { params, ..*spec })?;
+    engine.capabilities().admit_ring(spec, islands)?;
     engine
-        .stepper(&prepared)
+        .stepper(&Prepared::new(RunSpec { params, ..*spec }))
         .ok_or_else(|| EngineError::InvalidSpec {
-            msg: format!(
-                "{} refused a stepping handle (no stepping support, or a \
-                 {}-generation RNG stream past its step budget)",
-                engine.kind().name(),
-                params.n_gens
-            ),
+            msg: format!("{} has no stepping handle", engine.kind().name()),
         })
 }
 
@@ -394,7 +404,7 @@ mod tests {
             .expect("steps")
             .run(spec(params))
             .expect("runs");
-        assert_eq!(beh, bit, "stream-backed islands must be bit-identical");
+        assert_eq!(beh, bit, "table-backed islands must be bit-identical");
     }
 
     #[test]
@@ -452,6 +462,14 @@ mod tests {
             bundles.push(driver.step_epoch());
         }
         assert_eq!(driver.finish(), reference);
+        // bitsim64 writes the same bundles, so its checkpoints resume
+        // on behavioral exactly as behavioral's own do.
+        let mut driver = bit.start(spec(params)).expect("starts");
+        let mut bit_bundles = vec![driver.checkpoint()];
+        while !driver.done() {
+            bit_bundles.push(driver.step_epoch());
+        }
+        assert_eq!(bit_bundles, bundles);
 
         for bundle in &bundles {
             // Codec round trip on the real thing.
@@ -470,6 +488,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn largest_bundle_has_the_bounded_size() {
+        let params = GaParams::new(GaParams::MAX_POP, 1, 10, 1, 0x061F);
+        let config = IslandConfig {
+            islands: 1,
+            epoch: 1,
+            epochs: 1,
+        };
+        let engine = IslandsEngine::new(&BehavioralEngine, config).expect("steps");
+        let member = engine
+            .start(spec(params))
+            .expect("starts")
+            .checkpoint()
+            .members[0]
+            .clone();
+        let largest = CheckpointBundle {
+            config: IslandConfig {
+                islands: MAX_ISLANDS,
+                ..config
+            },
+            epochs_done: 0,
+            members: vec![member; MAX_ISLANDS],
+        };
+        assert_eq!(largest.encode().len(), CheckpointBundle::MAX_ENCODED_LEN);
     }
 
     #[test]

@@ -1,53 +1,35 @@
-//! Job packing for the 64-lane `bitsim64` backend, and the tabulated
-//! CA-RNG netlist its lane streams come from.
+//! The `bitsim64` backend's RNG: the tabulated CA-RNG netlist and the
+//! [`TableRng`] that walks it.
 //!
 //! The *GA* around the RNG is data-dependent (selection scans, fitness
-//! lookups), so the whole GA cannot be bit-sliced; what the served
-//! backend takes from the synthesized design is the RNG stream. Two
-//! jobs with the same population size and generation count consume RNG
-//! draws on an identical, data-independent schedule ([`draws_per_run`]),
-//! so up to 64 such jobs form one pack: one seed per lane, and each
-//! lane's extracted stream then drives an ordinary behavioral engine
-//! via [`StreamRng`].
+//! lookups), so the whole GA cannot be bit-sliced; what the backend
+//! takes from the synthesized design is the RNG, which the paper keeps
+//! behind the core as its own module (Fig. 4).
 //!
-//! The stream itself comes from the compiled CA-RNG netlist, but not by
-//! stepping its gates per pack. The netlist's only state is its 16
-//! registers and `rn` is their Q bus, and under `ctl` = consume the D
-//! logic ignores the seed bus, so the consume edge is a pure function
-//! `Q' = next[Q]` over 65 536 states — the same offline tabulation the
-//! paper applies to its fitness ROMs (Table VI). [`CaRngTable`]
-//! simulates that edge for every state once, with the compiled netlist
-//! itself, and a lane stream is the (zero-guarded) seed followed by
-//! table lookups. Because the netlist is gate-level equivalent to
-//! `carng::CaRng` (proven by `crates/synth/tests/rng_equivalence.rs`
-//! and the golden vectors), a packed lane's result is bit-identical to
-//! a solo run. Active lanes are exactly `seeds.len()`: no stream is
-//! produced for an unused lane.
+//! The RNG comes from the compiled CA-RNG netlist, but not by stepping
+//! its gates per job. The netlist's only state is its 16 registers and
+//! `rn` is their Q bus, and under `ctl` = consume the D logic ignores
+//! the seed bus, so the consume edge is a pure function `Q' = next[Q]`
+//! over 65 536 states — the same offline tabulation the paper applies
+//! to its fitness ROMs (Table VI). [`CaRngTable`] simulates that edge
+//! for every state once, with the compiled netlist itself, and a
+//! [`TableRng`] is the (zero-guarded) seed followed by one table lookup
+//! per draw, taken as the engine asks for it. Because the netlist is
+//! gate-level equivalent to `carng::CaRng` (proven by
+//! `crates/synth/tests/rng_equivalence.rs` and the golden vectors), a
+//! `bitsim64` run is bit-identical to a behavioral one.
 //!
 //! The table comes from the process-wide
-//! [`crate::cache::NetlistCache`], so only the first pack in a process
+//! [`crate::cache::NetlistCache`], so only the first run in a process
 //! elaborates, compiles and tabulates the netlist.
 
 use std::sync::Arc;
 
 use carng::{Rng16, SnapshotRng};
-use ga_core::GaParams;
 use ga_synth::bitsim::{BitSim, CompiledNetlist};
 use ga_synth::gadesign::elaborate_ca_rng;
 
 use crate::cache::global_cache;
-
-/// Exact number of 16-bit RNG draws one GA run consumes — the packing
-/// schedule. Per run: `pop` draws seed the initial population; each
-/// generation breeds `pop − 1` offspring in pairs, costing two
-/// selection draws plus one crossover-field draw per pair and one
-/// mutation-field draw per offspring. Asserted against the engine's
-/// own `rng_draws()` instrumentation in the service tests.
-pub fn draws_per_run(p: &GaParams) -> u64 {
-    let pop = p.pop_size as u64;
-    let pairs = (pop - 1).div_ceil(2);
-    pop + p.n_gens as u64 * (3 * pairs + (pop - 1))
-}
 
 /// `SPREAD[x]` puts bit *i* of `x` into the low bit of byte *i* — the
 /// byte-wise transpose that turns 8 lane-packed net bytes into 8 lane
@@ -167,7 +149,7 @@ impl CaRngTable {
 
 /// The tabulated CA-RNG netlist from the process-wide
 /// [`NetlistCache`](crate::cache::NetlistCache): elaborated, compiled
-/// and tabulated once, a cache hit on every later pack.
+/// and tabulated once, a cache hit on every later run.
 fn tabulated_ca() -> Arc<CaRngTable> {
     global_cache().get_or_build(|| {
         CaRngTable::tabulate(
@@ -176,122 +158,91 @@ fn tabulated_ca() -> Arc<CaRngTable> {
     })
 }
 
-/// Extract `draws` outputs of the CA-RNG netlist per seed —
-/// `seeds.len()` complete RNG streams, each walking the tabulated
-/// consume edge from its seed. Zero seeds get the RNG module's guard
-/// remap (0 → 1), matching `carng::CaRng`.
-pub fn ca_lane_streams(seeds: &[u16], draws: usize) -> Vec<Vec<u16>> {
-    try_ca_lane_streams(seeds, draws, u64::MAX).expect("unbounded extraction cannot trip")
+/// The CA-RNG's period: every nonzero state lies on one cycle.
+const PERIOD: u64 = u16::MAX as u64;
+
+/// An [`Rng16`] that walks the tabulated CA-RNG netlist: the output is
+/// the register state, a step is one [`CaRngTable::next`] lookup. It
+/// holds no stream, so a run of any length costs three words of RNG
+/// state.
+#[derive(Clone)]
+pub struct TableRng {
+    table: Arc<CaRngTable>,
+    seed: u16,
+    state: u16,
 }
 
-/// [`ca_lane_streams`] under a simulated-step watchdog: `draws` draws
-/// are `draws + 1` netlist steps (one load edge plus one per draw); if
-/// that exceeds `max_steps` the extraction is refused up front with
-/// `Err(max_steps)` — the step count the watchdog charged — so the
-/// service can degrade the pack to the behavioral backend instead of
-/// allocating an unbounded stream.
-pub fn try_ca_lane_streams(
-    seeds: &[u16],
-    draws: usize,
-    max_steps: u64,
-) -> Result<Vec<Vec<u16>>, u64> {
+impl TableRng {
+    /// A generator over the process-wide table, seeded with `seed`.
+    pub fn new(seed: u16) -> Self {
+        Self::on(tabulated_ca(), seed)
+    }
+
+    fn on(table: Arc<CaRngTable>, seed: u16) -> Self {
+        let mut rng = TableRng {
+            table,
+            seed: 0,
+            state: 0,
+        };
+        rng.reseed(seed);
+        rng
+    }
+}
+
+impl Rng16 for TableRng {
+    // The rn bus IS the register bank, so after the load edge it reads
+    // the seed; sample-then-advance from there matches `CaRng` (the
+    // first draw after a reseed is the seed).
+    fn output(&self) -> u16 {
+        self.state
+    }
+
+    fn step(&mut self) {
+        self.state = self.table.next(self.state);
+    }
+
+    fn reseed(&mut self, seed: u16) {
+        let seed = if seed == 0 { 1 } else { seed }; // the RNG module's zero-seed guard
+        self.seed = seed;
+        self.state = seed;
+    }
+}
+
+impl SnapshotRng for TableRng {
+    fn load(&mut self, consumed: u64, next: u16) -> Result<(), &'static str> {
+        // `next` must be the state `consumed` table steps after the
+        // seed, so restoring a snapshot into the wrong island (or a
+        // corrupted one) is caught instead of silently diverging. The
+        // walk wraps at the period: at most 65 534 lookups.
+        let mut s = self.seed;
+        for _ in 0..consumed % PERIOD {
+            s = self.table.next(s);
+        }
+        if s != next {
+            return Err("snapshot RNG value disagrees with the seed's CA-RNG stream");
+        }
+        self.state = s;
+        Ok(())
+    }
+}
+
+/// Draw `draws` outputs of the CA-RNG netlist per seed — `seeds.len()`
+/// [`TableRng`] streams over one table (at most one pack of 64).
+pub fn ca_lane_streams(seeds: &[u16], draws: usize) -> Vec<Vec<u16>> {
     assert!(
         seeds.len() <= BitSim::LANES,
         "{} seeds exceed the {} lanes of one pack",
         seeds.len(),
         BitSim::LANES
     );
-    if (draws as u64).saturating_add(1) > max_steps {
-        return Err(max_steps);
-    }
     let table = tabulated_ca();
-    // The rn bus IS the register bank, so after the load edge it reads
-    // the seed; sample-then-advance from there matches
-    // `Rng16::next_u16` (the first draw after a reseed is the seed).
-    Ok(seeds
+    seeds
         .iter()
         .map(|&seed| {
-            let mut s = if seed == 0 { 1 } else { seed }; // the RNG module's zero-seed guard
-            let mut stream = Vec::with_capacity(draws);
-            for _ in 0..draws {
-                stream.push(s);
-                s = table.next(s);
-            }
-            stream
+            let mut rng = TableRng::on(Arc::clone(&table), seed);
+            (0..draws).map(|_| rng.next_u16()).collect()
         })
-        .collect())
-}
-
-/// An [`Rng16`] replaying a pre-extracted draw stream — the glue
-/// between a bitsim lane and the behavioral engine. The stream must
-/// hold exactly the draws the consumer will ask for
-/// ([`draws_per_run`]); running past the end is an internal invariant
-/// violation and panics.
-#[derive(Debug, Clone)]
-pub struct StreamRng {
-    stream: Vec<u16>,
-    pos: usize,
-}
-
-impl StreamRng {
-    /// Wrap an extracted lane stream.
-    pub fn new(stream: Vec<u16>) -> Self {
-        assert!(!stream.is_empty(), "an RNG stream cannot be empty");
-        StreamRng { stream, pos: 0 }
-    }
-
-    /// Draws consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.pos
-    }
-}
-
-impl Rng16 for StreamRng {
-    fn output(&self) -> u16 {
-        self.stream[self.pos]
-    }
-
-    fn step(&mut self) {
-        self.pos += 1;
-    }
-
-    fn fill_u16s(&mut self, out: &mut [u16]) {
-        // Batch replay is a slice copy — the stream already holds the
-        // consecutive draws. Panics past the end like `next_u16` would.
-        out.copy_from_slice(&self.stream[self.pos..self.pos + out.len()]);
-        self.pos += out.len();
-    }
-
-    fn reseed(&mut self, seed: u16) {
-        // The engine reseeds with the job's seed on construction; the
-        // stream's first draw must BE that seed (post zero-guard).
-        let expect = if seed == 0 { 1 } else { seed };
-        debug_assert_eq!(
-            self.stream.first().copied(),
-            Some(expect),
-            "stream does not start at the reseed value"
-        );
-        self.pos = 0;
-    }
-}
-
-impl SnapshotRng for StreamRng {
-    fn load(&mut self, consumed: u64, next: u16) -> Result<(), &'static str> {
-        // `consumed` is the stream cursor directly; `next` cross-checks
-        // the snapshot against the extracted stream, so restoring a
-        // behavioral snapshot into the wrong lane (or a corrupted one)
-        // is caught instead of silently diverging.
-        let pos = usize::try_from(consumed)
-            .map_err(|_| "stream snapshot position does not fit in memory")?;
-        if pos >= self.stream.len() {
-            return Err("stream snapshot position is past the extracted stream");
-        }
-        if self.stream[pos] != next {
-            return Err("snapshot RNG value disagrees with the extracted stream");
-        }
-        self.pos = pos;
-        Ok(())
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -321,7 +272,7 @@ mod tests {
         let table = tabulated_ca();
         let mut seen = vec![false; 1 << 16];
         let mut s = 1u16;
-        for step in 0..u16::MAX {
+        for step in 0..PERIOD {
             assert!(
                 s != 0 && !seen[s as usize],
                 "state {s:#06x} repeats at step {step}"
@@ -334,9 +285,8 @@ mod tests {
 
     #[test]
     fn lane_streams_match_the_reference_rng_at_heavy_length() {
-        // A pop-128 / 64-generation job: the stream a stepper extracts.
-        let draws = draws_per_run(&GaParams::new(128, 64, 10, 1, 1)) as usize + 1;
-        assert_eq!(draws, 20_545);
+        // The draws of a pop-128 / 64-generation run, plus one.
+        let draws = 20_545;
         let mut packs = vec![vec![0u16, 1, 0xFFFF]];
         packs.push((0..64).map(|k| 0x9E37u16.wrapping_mul(k + 1)).collect());
         for seeds in packs {
@@ -384,41 +334,37 @@ mod tests {
     }
 
     #[test]
-    fn step_watchdog_refuses_oversized_extractions() {
-        assert_eq!(try_ca_lane_streams(&[1], 100, 10), Err(10));
-        let ok = try_ca_lane_streams(&[1], 9, 10).expect("9 draws + 1 load step fit in 10");
-        assert_eq!(ok[0].len(), 9);
+    fn table_rng_reseeds_with_the_zero_guard() {
+        let mut r = TableRng::new(7);
+        assert_eq!(r.next_u16(), 7);
+        r.reseed(0);
+        let mut reference = CaRng::new(0);
+        for _ in 0..4 {
+            assert_eq!(r.next_u16(), reference.next_u16());
+        }
     }
 
     #[test]
-    fn stream_rng_replays_and_reseeds() {
-        let mut r = StreamRng::new(vec![7, 8, 9]);
-        assert_eq!(r.next_u16(), 7);
-        assert_eq!(r.next_u16(), 8);
-        assert_eq!(r.consumed(), 2);
-        r.reseed(7);
-        assert_eq!(r.next_u16(), 7);
-    }
-
-    #[test]
-    fn stream_rng_snapshot_load_is_checked() {
-        let mut r = StreamRng::new(vec![7, 8, 9]);
+    fn table_rng_load_checks_the_seed_stream() {
+        let mut reference = CaRng::new(0x2961);
+        let stream: Vec<u16> = (0..8).map(|_| reference.next_u16()).collect();
+        let mut r = TableRng::new(0x2961);
         r.next_u16();
-        assert_eq!(r.save(), 8);
+        assert_eq!(r.save(), stream[1]);
         // Reposition by (consumed, next) — the cross-backend contract.
-        let mut other = StreamRng::new(vec![7, 8, 9]);
-        other.load(1, 8).expect("valid position");
-        assert_eq!(other.next_u16(), 8);
-        assert!(other.load(1, 9).is_err(), "value mismatch is typed");
-        assert!(other.load(3, 7).is_err(), "past-the-end is typed");
-        assert_eq!(other.consumed(), 2, "failed loads leave the cursor");
-    }
-
-    #[test]
-    fn draw_formula_even_and_odd_pops() {
-        // pop 8: init 8, per gen 3·ceil(7/2) + 7 = 19.
-        assert_eq!(draws_per_run(&GaParams::new(8, 2, 10, 1, 1)), 8 + 2 * 19);
-        // pop 15 (odd): per gen 3·7 + 14 = 35.
-        assert_eq!(draws_per_run(&GaParams::new(15, 3, 10, 1, 1)), 15 + 3 * 35);
+        let mut other = TableRng::new(0x2961);
+        other.load(5, stream[5]).expect("on the seed's stream");
+        assert_eq!(other.next_u16(), stream[5]);
+        assert_eq!(
+            other.load(5, stream[6]),
+            Err("snapshot RNG value disagrees with the seed's CA-RNG stream"),
+            "a pair off the stream is typed"
+        );
+        assert_eq!(other.save(), stream[6], "a failed load leaves the state");
+        let mut lane = TableRng::new(0x2962);
+        assert!(lane.load(5, stream[5]).is_err(), "another seed's stream");
+        // The stream is one 65 535-state cycle, so positions wrap.
+        other.load(PERIOD + 3, stream[3]).expect("one period later");
+        assert_eq!(other.next_u16(), stream[3]);
     }
 }

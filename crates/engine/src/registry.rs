@@ -114,18 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn degradation_targets_are_registered_and_narrower() {
-        // A fallback engine must exist and must not itself degrade
-        // (no fallback chains): the serve layer relies on both.
-        for e in global().engines() {
-            if let Some(to) = e.capabilities().degrades_to {
-                let target = global().get(to).expect("fallback engine registered");
-                assert_eq!(target.capabilities().degrades_to, None, "no chains");
-            }
-        }
-    }
-
-    #[test]
     fn registration_replaces_by_kind() {
         let mut r = EngineRegistry::new();
         assert!(r.get(BackendKind::Behavioral).is_none());

@@ -16,6 +16,8 @@ use ga_core::GaParams;
 use ga_ehw::{healing_fitness, Fault, TruthTable};
 use ga_fitness::TestFunction;
 
+use crate::islands::MAX_ISLANDS;
+
 /// Which engine executes a run. One variant per registered backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
@@ -23,13 +25,14 @@ pub enum BackendKind {
     Behavioral,
     /// The cycle-accurate hardware system (`ga_core::GaSystem`).
     RtlInterp,
-    /// The compiled 64-lane netlist simulation: compatible jobs share
-    /// one bit-sliced CA-RNG run, one job per lane.
+    /// The behavioral engine drawing from the compiled CA-RNG netlist:
+    /// each draw is one lookup in its tabulated consume edge
+    /// ([`crate::TableRng`]).
     BitSim64,
     /// The instrumented software GA — the behavioral engine charging
     /// `swga::OpCounts`, the paper's PowerPC reference implementation.
     Swga,
-    /// The ganged dual-core 32-bit system (`ga_core::GaSystem32Hw`,
+    /// The ganged dual-core 32-bit system (`ga_core::GaSystem32`,
     /// Fig. 6 / §III-D) for `width: 32` jobs.
     Rtl32,
 }
@@ -138,30 +141,43 @@ pub struct RunSpec {
 pub struct Capabilities {
     /// Chromosome widths this engine implements.
     pub widths: &'static [u8],
-    /// How many compatible runs one invocation can execute together
-    /// (1 = solo only; 64 for `bitsim64` packs).
+    /// How many compatible runs the serving layer groups into one
+    /// [`Engine::run_pack`] call (1 = solo only; 64 for `bitsim64`).
     pub pack_width: usize,
-    /// Honors [`RunSpec::deadline_ms`].
-    pub deadline: bool,
-    /// Enforces a simulated-work watchdog ([`Limits`]).
-    pub watchdog: bool,
-    /// Reports simulated clock cycles in [`RunOutcome::cycles`].
-    pub reports_cycles: bool,
-    /// Supports fault-injection hooks (scan-chain / net campaigns).
-    pub fault_injection: bool,
     /// Can expose a generation-stepping handle ([`Engine::stepper`])
     /// for island-model composition.
     pub stepping: bool,
-    /// Where an *infrastructure* failure (watchdog) may gracefully
-    /// degrade to, if anywhere. Spec errors never degrade.
-    pub degrades_to: Option<BackendKind>,
 }
 
+/// The admission work bound: the most fitness evaluations
+/// ([`GaParams::evaluations_per_run`]) one run may consume. 2²¹ is 4×
+/// the largest solo shape in the repo, the Table IV Large preset
+/// (128 × 4096 = 520 320 evaluations); it caps the per-generation
+/// history a run keeps at about two million entries (pop 2). An island
+/// ring keeps no history and may do `MAX_ISLANDS × MAX_EVALUATIONS` in
+/// total ([`Capabilities::admit_ring`]).
+pub const MAX_EVALUATIONS: u64 = 1 << 21;
+
 impl Capabilities {
-    /// The admission check: width support first (so a wrong-width spec
-    /// is reported as [`EngineError::UnsupportedWidth`] even when its
-    /// parameters are also bad), then the Table III parameter ranges.
+    /// The admission check for one run: width support first (so a
+    /// wrong-width spec is reported as [`EngineError::UnsupportedWidth`]
+    /// even when its parameters are also bad), then the Table III
+    /// parameter ranges, then the [`MAX_EVALUATIONS`] work bound.
     pub fn admit(&self, spec: &RunSpec) -> Result<(), EngineError> {
+        self.admit_within(spec, 1, MAX_EVALUATIONS)
+    }
+
+    /// The admission check for a ring of `islands` members running
+    /// `spec`: as [`Capabilities::admit`], but the members keep no
+    /// per-generation history, so the ring may do the work of
+    /// [`MAX_ISLANDS`] maximal runs, shared by all its islands.
+    pub fn admit_ring(&self, spec: &RunSpec, islands: usize) -> Result<(), EngineError> {
+        self.admit_within(spec, islands as u64, MAX_ISLANDS as u64 * MAX_EVALUATIONS)
+    }
+
+    /// Admit `runs` runs of `spec` doing at most `bound` evaluations in
+    /// total.
+    fn admit_within(&self, spec: &RunSpec, runs: u64, bound: u64) -> Result<(), EngineError> {
         if !self.widths.contains(&spec.width) {
             return Err(EngineError::UnsupportedWidth { width: spec.width });
         }
@@ -174,7 +190,16 @@ impl Capabilities {
         }
         spec.params
             .validate()
-            .map_err(|msg| EngineError::InvalidSpec { msg })
+            .map_err(|msg| EngineError::InvalidSpec { msg })?;
+        let evaluations = spec.params.evaluations_per_run().saturating_mul(runs);
+        if evaluations > bound {
+            return Err(EngineError::InvalidSpec {
+                msg: format!(
+                    "{evaluations} fitness evaluations exceed the admission bound of {bound}"
+                ),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -184,15 +209,12 @@ impl Capabilities {
 pub struct Limits {
     /// Simulated-cycle watchdog for the cycle-accurate backends.
     pub sim_watchdog_cycles: u64,
-    /// Simulated-step watchdog for the compiled-netlist backend.
-    pub stream_watchdog_steps: u64,
 }
 
 impl Default for Limits {
     fn default() -> Self {
         Limits {
             sim_watchdog_cycles: 2_000_000_000,
-            stream_watchdog_steps: 2_000_000_000,
         }
     }
 }
@@ -222,7 +244,8 @@ impl Prepared {
 /// How a run can fail — every variant is a typed, non-panicking result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// Parameters outside the hardware ranges of Table III.
+    /// Parameters outside the hardware ranges of Table III, or past
+    /// the [`MAX_EVALUATIONS`] work bound.
     InvalidSpec {
         /// The validation failure.
         msg: String,
@@ -234,22 +257,11 @@ pub enum EngineError {
     },
     /// The spec's wall-clock deadline expired; the run was cancelled.
     DeadlineExceeded,
-    /// A simulated-work watchdog fired ([`Limits`]).
+    /// A simulated-cycle watchdog fired ([`Limits`]).
     Watchdog {
-        /// Simulated cycles (or netlist steps) charged before giving up.
+        /// Simulated cycles charged before giving up.
         cycles: u64,
     },
-}
-
-impl EngineError {
-    /// Whether the failure is a property of the *infrastructure* budget
-    /// rather than of the spec — the only class of error where falling
-    /// back to [`Capabilities::degrades_to`] can change the answer from
-    /// an error into a result. Deadlines are caller contracts and spec
-    /// errors are deterministic, so neither degrades.
-    pub fn is_infrastructure(&self) -> bool {
-        matches!(self, EngineError::Watchdog { .. })
-    }
 }
 
 impl fmt::Display for EngineError {
@@ -327,10 +339,9 @@ pub trait Engine: Send + Sync {
     /// Execute one admitted run under the caller's budgets.
     fn run(&self, prepared: &Prepared, limits: &Limits) -> Result<RunOutcome, EngineError>;
 
-    /// Execute a batch of compatible admitted runs. Engines with
-    /// `pack_width > 1` override this to share work across the batch
-    /// (`bitsim64` checks one draw budget and takes one cached netlist
-    /// table for all lanes); the default just runs them one by one.
+    /// Execute a batch of compatible admitted runs. No engine shares
+    /// work across a batch, so every one uses this default, which runs
+    /// them one by one.
     fn run_pack(
         &self,
         prepared: &[Prepared],
@@ -340,11 +351,9 @@ pub trait Engine: Send + Sync {
     }
 
     /// A generation-stepping handle for island-model composition, if
-    /// the engine supports it (`capabilities().stepping`) and this spec
-    /// fits its budget (`bitsim64` refuses a stream past the default
-    /// step watchdog). The member arrives with its population
-    /// *uninitialized*; the island driver owns the init / step /
-    /// migrate schedule.
+    /// the engine supports it (`capabilities().stepping`). The member
+    /// arrives with its population *uninitialized*; the island driver
+    /// owns the init / step / migrate schedule.
     fn stepper(&self, prepared: &Prepared) -> Option<Box<dyn ga_core::IslandMember>> {
         let _ = prepared;
         None
@@ -369,12 +378,7 @@ mod tests {
         let caps = Capabilities {
             widths: &[16],
             pack_width: 1,
-            deadline: true,
-            watchdog: false,
-            reports_cycles: false,
-            fault_injection: false,
             stepping: true,
-            degrades_to: None,
         };
         // Both the width and the parameters are bad: width wins, so the
         // caller learns the job can never run here regardless of params.
@@ -405,12 +409,7 @@ mod tests {
         let caps = Capabilities {
             widths: &[16, 32],
             pack_width: 1,
-            deadline: true,
-            watchdog: false,
-            reports_cycles: false,
-            fault_injection: false,
             stepping: false,
-            degrades_to: None,
         };
         let heal = Workload::VrcHeal {
             target: 0x9B9B,
@@ -440,10 +439,44 @@ mod tests {
     }
 
     #[test]
-    fn only_watchdogs_are_infrastructure_failures() {
-        assert!(EngineError::Watchdog { cycles: 1 }.is_infrastructure());
-        assert!(!EngineError::DeadlineExceeded.is_infrastructure());
-        assert!(!EngineError::UnsupportedWidth { width: 8 }.is_infrastructure());
-        assert!(!EngineError::InvalidSpec { msg: String::new() }.is_infrastructure());
+    fn admission_bounds_the_work_of_one_run() {
+        let caps = Capabilities {
+            widths: &[16],
+            pack_width: 1,
+            stepping: false,
+        };
+        let spec = |pop_size, n_gens| RunSpec {
+            width: 16,
+            workload: Workload::Function(TestFunction::F2),
+            params: GaParams {
+                pop_size,
+                n_gens,
+                ..GaParams::default()
+            },
+            deadline_ms: None,
+        };
+        // The bound is exact: pop 2 costs 2 + gens evaluations.
+        let last = (MAX_EVALUATIONS - 2) as u32;
+        assert_eq!(spec(2, last).params.evaluations_per_run(), MAX_EVALUATIONS);
+        assert_eq!(caps.admit(&spec(2, last)), Ok(()));
+        let err = caps.admit(&spec(2, last + 1)).expect_err("one past");
+        assert!(err.to_string().contains("admission bound"), "{err}");
+        // The Table IV Large preset fits with 4x headroom.
+        let large = GaParams::preset(ga_core::PresetMode::Large).expect("preset");
+        assert_eq!(large.evaluations_per_run(), 520_320);
+        assert!(4 * large.evaluations_per_run() <= MAX_EVALUATIONS);
+        // A 4e9-generation line is refused, not run.
+        assert!(matches!(
+            caps.admit(&spec(128, 4_000_000_000)),
+            Err(EngineError::InvalidSpec { .. })
+        ));
+        // A ring shares MAX_ISLANDS runs' worth: perfbench's islands-ring
+        // job (2 islands of pop 64 × 8e6 generations) fits, the same
+        // members solo do not, and the 4e9-generation ring does not.
+        let ring = spec(64, 8_000_000);
+        assert!(caps.admit(&ring).is_err());
+        assert_eq!(caps.admit_ring(&ring, 2), Ok(()));
+        assert!(caps.admit_ring(&ring, 5).is_err());
+        assert!(caps.admit_ring(&spec(128, 4_000_000_000), 2).is_err());
     }
 }

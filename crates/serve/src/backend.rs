@@ -1,25 +1,21 @@
 //! Backend dispatch: every job goes through the engine registry
 //! (`ga_engine::global`), so this module contains **no per-engine drive
 //! loops** — it admits a job against the registered backend's
-//! capabilities, runs it under the service's [`ga_engine::Limits`], and
-//! applies the generic degradation policy: an *infrastructure* failure
-//! (watchdog) on an engine that declares a
-//! [`ga_engine::Capabilities::degrades_to`] edge is re-answered by the
-//! fallback engine with typed [`Degradation`] metadata instead of
-//! failing the job.
+//! capabilities (which include the [`ga_engine::MAX_EVALUATIONS`] work
+//! bound) and runs it under the service's [`ga_engine::Limits`]. Every
+//! failure is the job's own typed error; no job is re-answered by
+//! another backend.
 
 use std::time::Instant;
 
 use ga_core::islands::IslandConfig;
-use ga_engine::{global, EngineError, IslandsEngine, Limits, Prepared};
+use ga_engine::{global, IslandsEngine, Limits, Prepared};
 
-use crate::job::{
-    BackendKind, Degradation, GaJob, HealReport, JobOutput, JobResult, ServeError, Workload,
-};
+use crate::job::{GaJob, HealReport, JobOutput, JobResult, ServeError, Workload};
 use crate::service::ServeConfig;
 
 /// The healing summary for a settled outcome: present iff the job was
-/// a heal job and the run (native or degraded) completed.
+/// a heal job and the run completed.
 fn heal_report(job: &GaJob, outcome: &Result<JobOutput, ServeError>) -> Option<HealReport> {
     match (job.workload, outcome) {
         (Workload::VrcHeal { .. }, Ok(o)) => Some(HealReport::from_outcome(o)),
@@ -27,47 +23,36 @@ fn heal_report(job: &GaJob, outcome: &Result<JobOutput, ServeError>) -> Option<H
     }
 }
 
-/// Fitness evaluations one full run consumes. Delegates to the single
-/// source of truth, [`ga_core::GaParams::evaluations_per_run`]; kept as
-/// a named re-export because the serve tests and docs reason about the
-/// service in terms of this formula.
-pub fn evaluations_for(p: &ga_core::GaParams) -> u64 {
-    p.evaluations_per_run()
-}
-
 /// The engine-layer budgets this service runs under.
 fn limits(cfg: &ServeConfig) -> Limits {
     Limits {
         sim_watchdog_cycles: cfg.rtl_watchdog_cycles,
-        stream_watchdog_steps: cfg.bitsim_watchdog_steps,
     }
 }
 
-/// Run one job on its selected backend, returning the full result (the
-/// executing backend can differ from the requested one when an
-/// infrastructure watchdog trips and the engine declares a degradation
-/// edge). Validation happens here, so an out-of-range job becomes a
-/// typed error result, never a panic.
+/// Run one job on its selected backend. Validation happens here, so an
+/// out-of-range or oversized job becomes a typed error result, never a
+/// panic or an abort.
 pub fn run_single(job: &GaJob, i: usize, cfg: &ServeConfig) -> JobResult {
     let t = Instant::now();
     let engine = global().get(job.backend).expect("all kinds registered");
-    let (backend, outcome, degraded) = match job.islands {
+    let outcome = match job.islands {
         // Island jobs run the ring composite over the backend's
-        // stepping handle; they never degrade — a refusal (non-stepping
-        // backend, schedule mismatch) is a deterministic typed error.
-        Some(cfg_islands) => (job.backend, run_islands(job, cfg_islands), None),
-        None => match engine.prepare(job.spec()) {
-            Err(e) => (job.backend, Err(e.into()), None),
-            Ok(p) => settle(job, engine.run(&p, &limits(cfg)), cfg),
-        },
+        // stepping handle; a refusal (non-stepping backend, schedule
+        // mismatch) is a deterministic typed error.
+        Some(cfg_islands) => run_islands(job, cfg_islands),
+        None => engine
+            .prepare(job.spec())
+            .and_then(|p| engine.run(&p, &limits(cfg)))
+            .map_err(ServeError::from),
     };
     let heal = heal_report(job, &outcome);
     JobResult {
         job: i,
-        backend,
+        backend: job.backend,
         outcome,
         micros: t.elapsed().as_micros() as u64,
-        degraded,
+        degraded: None,
         heal,
     }
 }
@@ -95,55 +80,12 @@ fn run_islands(job: &GaJob, config: IslandConfig) -> Result<JobOutput, ServeErro
     })
 }
 
-/// Fold an engine result into the service's (backend, outcome,
-/// degradation) triple, applying the capability-driven fallback: only
-/// [`EngineError::is_infrastructure`] failures degrade, and only along
-/// the requested engine's declared edge.
-fn settle(
-    job: &GaJob,
-    result: Result<JobOutput, EngineError>,
-    cfg: &ServeConfig,
-) -> (
-    BackendKind,
-    Result<JobOutput, ServeError>,
-    Option<Degradation>,
-) {
-    match result {
-        Ok(o) => (job.backend, Ok(o), None),
-        Err(e) => {
-            let caps = global()
-                .get(job.backend)
-                .expect("all kinds registered")
-                .capabilities();
-            match caps.degrades_to.filter(|_| e.is_infrastructure()) {
-                None => (job.backend, Err(e.into()), None),
-                Some(to) => {
-                    let fallback = global().get(to).expect("fallback engine registered");
-                    let outcome = fallback
-                        .prepare(job.spec())
-                        .and_then(|p| fallback.run(&p, &limits(cfg)))
-                        .map_err(ServeError::from);
-                    (
-                        to,
-                        outcome,
-                        Some(Degradation {
-                            from: job.backend,
-                            reason: e.into(),
-                        }),
-                    )
-                }
-            }
-        }
-    }
-}
-
 /// Run a pack of *validated, compatible* jobs (`idxs` index into `all`;
 /// at most the engine's pack width, all sharing one
 /// [`GaJob::pack_key`]): one [`ga_engine::Engine::run_pack`] invocation
 /// serves every lane. Per-job latency charges each
 /// job an even share of the shared pack time plus its own settling
-/// time. If the engine fails a lane on infrastructure, that lane
-/// degrades along the engine's declared edge like any solo job.
+/// time.
 pub fn run_pack(all: &[GaJob], idxs: &[usize], cfg: &ServeConfig) -> Vec<JobResult> {
     debug_assert!(!idxs.is_empty());
     let kind = all[idxs[0]].backend;
@@ -165,14 +107,14 @@ pub fn run_pack(all: &[GaJob], idxs: &[usize], cfg: &ServeConfig) -> Vec<JobResu
         .zip(outcomes)
         .map(|(&i, result)| {
             let t = Instant::now();
-            let (backend, outcome, degraded) = settle(&all[i], result, cfg);
+            let outcome = result.map_err(ServeError::from);
             let heal = heal_report(&all[i], &outcome);
             JobResult {
                 job: i,
-                backend,
+                backend: kind,
                 outcome,
                 micros: shared_micros + t.elapsed().as_micros() as u64,
-                degraded,
+                degraded: None,
                 heal,
             }
         })
@@ -182,26 +124,12 @@ pub fn run_pack(all: &[GaJob], idxs: &[usize], cfg: &ServeConfig) -> Vec<JobResu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::BackendKind;
     use ga_core::GaParams;
     use ga_fitness::TestFunction;
 
     fn run(job: &GaJob) -> Result<JobOutput, ServeError> {
         run_single(job, 0, &ServeConfig::default()).outcome
-    }
-
-    #[test]
-    fn evaluation_formula_is_the_params_contract() {
-        // The dedicated helper must stay a pure delegation to
-        // GaParams::evaluations_per_run — the one formula everything
-        // (serve, engines, bench) shares.
-        for (pop, gens) in [(2u8, 1u32), (8, 3), (16, 6), (128, 512)] {
-            let p = GaParams::new(pop, gens, 10, 1, 1);
-            assert_eq!(evaluations_for(&p), p.evaluations_per_run());
-            assert_eq!(
-                evaluations_for(&p),
-                pop as u64 + gens as u64 * (pop as u64 - 1)
-            );
-        }
     }
 
     #[test]
@@ -211,7 +139,7 @@ mod tests {
         let bit = GaJob::new(TestFunction::Bf6, BackendKind::BitSim64, params);
         let a = run(&beh).expect("behavioral runs");
         let b = run(&bit).expect("bitsim runs");
-        assert_eq!(a, b, "netlist-streamed lane must match the reference RNG");
+        assert_eq!(a, b, "the netlist table must match the reference RNG");
     }
 
     #[test]
@@ -305,7 +233,7 @@ mod tests {
         assert_eq!(out.evaluations, direct.evaluations);
         assert_eq!(out.generations, 12);
 
-        // And the lane-stream backend answers bit-identically.
+        // And the netlist-table backend answers bit-identically.
         let bit = GaJob {
             backend: BackendKind::BitSim64,
             ..job
@@ -324,7 +252,6 @@ mod tests {
             });
         let r = run_single(&job, 0, &ServeConfig::default());
         assert!(matches!(r.outcome, Err(ServeError::InvalidJob { .. })));
-        assert_eq!(r.degraded, None, "island refusals never degrade");
     }
 
     #[test]
@@ -336,28 +263,5 @@ mod tests {
         );
         job.params.n_gens = 0;
         assert!(matches!(run(&job), Err(ServeError::InvalidJob { .. })));
-    }
-
-    #[test]
-    fn bitsim_watchdog_degrades_solo_jobs_to_behavioral() {
-        let params = GaParams::new(16, 6, 10, 1, 0x2961);
-        let bit = GaJob::new(TestFunction::Bf6, BackendKind::BitSim64, params);
-        let beh = GaJob::new(TestFunction::Bf6, BackendKind::Behavioral, params);
-        let cfg = ServeConfig {
-            bitsim_watchdog_steps: 4, // far below the needed draw count
-            ..Default::default()
-        };
-        let r = run_single(&bit, 7, &cfg);
-        assert_eq!(r.job, 7);
-        assert_eq!(r.backend, BackendKind::Behavioral, "executed by fallback");
-        assert_eq!(
-            r.degraded,
-            Some(Degradation {
-                from: BackendKind::BitSim64,
-                reason: ServeError::Watchdog { cycles: 4 },
-            })
-        );
-        // The degraded answer is the behavioral answer, not a failure.
-        assert_eq!(r.outcome, run(&beh), "fallback result matches behavioral");
     }
 }

@@ -102,11 +102,10 @@ fn main() -> ExitCode {
                     let caps = e.capabilities();
                     let widths: Vec<String> = caps.widths.iter().map(|w| w.to_string()).collect();
                     println!(
-                        "{} widths={} pack_width={} degrades_to={}",
+                        "{} widths={} pack_width={}",
                         e.kind().name(),
                         widths.join(","),
                         caps.pack_width,
-                        caps.degrades_to.map_or("none", |k| k.name()),
                     );
                 }
                 return ExitCode::SUCCESS;

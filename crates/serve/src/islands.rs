@@ -41,15 +41,18 @@
 //! [`ga_engine::IslandsDriver`] one at the same barrier. Every
 //! barrier's bundle is flushed to the checkpoint file via write-to-temp
 //! and rename, so a coordinator killed mid-write leaves the previous
-//! complete checkpoint intact.
+//! complete checkpoint intact. Reading one back stops at
+//! [`MAX_CHECKPOINT_FILE_BYTES`], so an oversized file is a typed
+//! [`CheckpointReadError::TooLarge`], never an unbounded read.
 
+use std::fmt;
 use std::fs;
-use std::io::{BufReader, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 
 use ga_core::islands::{IslandMember, IslandRing, IslandRun, RingMember};
-use ga_core::snapshot::EngineSnapshot;
+use ga_core::snapshot::{EngineSnapshot, SnapshotError};
 use ga_core::Individual;
 use ga_engine::{island_member, CheckpointBundle};
 
@@ -461,10 +464,81 @@ pub fn write_checkpoint(path: &Path, bundle: &CheckpointBundle) -> Result<(), St
     fs::rename(&tmp, path).map_err(|e| format!("rename to {}: {e}", path.display()))
 }
 
-/// Read a checkpoint file written by [`write_checkpoint`].
-pub fn read_checkpoint(path: &Path) -> Result<CheckpointBundle, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    CheckpointBundle::from_hex(text.trim()).map_err(|e| format!("{}: {e}", path.display()))
+/// The largest checkpoint file [`read_checkpoint`] accepts: the hex
+/// form of the largest bundle the format admits
+/// ([`CheckpointBundle::MAX_ENCODED_LEN`]) plus the newline
+/// [`write_checkpoint`] appends.
+pub const MAX_CHECKPOINT_FILE_BYTES: u64 = 2 * CheckpointBundle::MAX_ENCODED_LEN as u64 + 1;
+
+/// Why [`read_checkpoint`] returned no bundle.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CheckpointReadError {
+    /// The file could not be opened or read as text.
+    Io {
+        /// The checkpoint file.
+        path: PathBuf,
+        /// The I/O error.
+        msg: String,
+    },
+    /// The file holds more than [`MAX_CHECKPOINT_FILE_BYTES`]; reading
+    /// stopped one byte past the cap.
+    TooLarge {
+        /// The checkpoint file.
+        path: PathBuf,
+    },
+    /// The contents are not a valid bundle.
+    Decode {
+        /// The checkpoint file.
+        path: PathBuf,
+        /// The decoder's typed error.
+        err: SnapshotError,
+    },
+}
+
+impl fmt::Display for CheckpointReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CheckpointReadError::Io { path, msg } => write!(f, "read {}: {msg}", path.display()),
+            CheckpointReadError::TooLarge { path } => write!(
+                f,
+                "{}: checkpoint file exceeds {MAX_CHECKPOINT_FILE_BYTES} bytes",
+                path.display()
+            ),
+            CheckpointReadError::Decode { path, err } => write!(f, "{}: {err}", path.display()),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointReadError {}
+
+impl From<CheckpointReadError> for String {
+    fn from(e: CheckpointReadError) -> String {
+        e.to_string()
+    }
+}
+
+/// Read a checkpoint file written by [`write_checkpoint`], reading at
+/// most one byte past [`MAX_CHECKPOINT_FILE_BYTES`].
+pub fn read_checkpoint(path: &Path) -> Result<CheckpointBundle, CheckpointReadError> {
+    let io = |e: std::io::Error| CheckpointReadError::Io {
+        path: path.to_path_buf(),
+        msg: e.to_string(),
+    };
+    let mut text = String::new();
+    fs::File::open(path)
+        .map_err(io)?
+        .take(MAX_CHECKPOINT_FILE_BYTES + 1)
+        .read_to_string(&mut text)
+        .map_err(io)?;
+    if text.len() as u64 > MAX_CHECKPOINT_FILE_BYTES {
+        return Err(CheckpointReadError::TooLarge {
+            path: path.to_path_buf(),
+        });
+    }
+    CheckpointBundle::from_hex(text.trim()).map_err(|err| CheckpointReadError::Decode {
+        path: path.to_path_buf(),
+        err,
+    })
 }
 
 #[cfg(test)]
@@ -696,6 +770,25 @@ mod tests {
         // never happened) leaves the previous checkpoint intact.
         fs::write(path.with_file_name("garbage.tmp"), "deadbeef").unwrap();
         assert_eq!(read_checkpoint(&path).expect("still readable"), bundle);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn checkpoint_reads_stop_at_the_largest_bundle() {
+        let path = ckpt_path("oversized");
+        let cap = MAX_CHECKPOINT_FILE_BYTES as usize;
+        // At the cap the file is read and fails to decode; one byte
+        // over, it is refused by size.
+        fs::write(&path, "0".repeat(cap)).unwrap();
+        assert!(matches!(
+            read_checkpoint(&path),
+            Err(CheckpointReadError::Decode { .. })
+        ));
+        fs::write(&path, "0".repeat(cap + 1)).unwrap();
+        assert_eq!(
+            read_checkpoint(&path),
+            Err(CheckpointReadError::TooLarge { path: path.clone() })
+        );
         let _ = fs::remove_file(&path);
     }
 }

@@ -3,7 +3,7 @@
 //! The execution vocabulary itself ([`BackendKind`], [`JobOutput`])
 //! comes from the engine layer (`ga_engine`); this module adds the
 //! service-side wrapping — the JSONL-schema job shape, typed service
-//! errors, and per-result degradation metadata.
+//! errors, and the (always empty) per-result degradation slot.
 
 use std::fmt;
 
@@ -137,7 +137,8 @@ impl GaJob {
 
     /// The admission check every backend runs before touching an
     /// engine: the registered backend's capability gate (width support
-    /// first, then the hardware parameter ranges), plus the island
+    /// first, then the hardware parameter ranges and the work bound of
+    /// one run, or of the whole ring for an island job), plus the island
     /// schedule gate when the job carries one — a stepping backend and
     /// `n_gens == epoch × epochs`, both typed, never panicking.
     pub fn validate(&self) -> Result<(), ServeError> {
@@ -147,12 +148,14 @@ impl GaJob {
                 .ok_or_else(|| ServeError::InvalidJob {
                     msg: format!("backend {} is not registered", self.backend.name()),
                 })?;
-        engine
-            .capabilities()
-            .admit(&self.spec())
-            .map_err(ServeError::from)?;
+        let caps = engine.capabilities();
+        match self.islands {
+            None => caps.admit(&self.spec()),
+            Some(cfg) => caps.admit_ring(&self.spec(), cfg.islands),
+        }
+        .map_err(ServeError::from)?;
         if let Some(cfg) = self.islands {
-            if !engine.capabilities().stepping {
+            if !caps.stepping {
                 return Err(ServeError::InvalidJob {
                     msg: format!(
                         "backend {} has no stepping handle; island jobs need one",
@@ -238,13 +241,10 @@ impl HealReport {
     }
 }
 
-/// Degradation note attached to a result that was answered by a
-/// different backend than the one requested: the requested backend
-/// failed on infrastructure (e.g. the bitsim64 netlist watchdog
-/// tripped) and the service fell back along the engine's declared
-/// [`ga_engine::Capabilities::degrades_to`] edge instead of failing the
-/// job. Surfaced as typed metadata so callers can tell a degraded
-/// answer from a native one.
+/// Degradation note for a result answered by a different backend than
+/// the one requested. No backend degrades any more, so the service
+/// never attaches one; the type stays because perfbench builds
+/// [`JobResult`]s and the result-line writer still renders it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Degradation {
     /// The backend the job originally asked for.
@@ -267,8 +267,7 @@ pub struct JobResult {
     /// JSONL result lines so golden-file diffs stay deterministic;
     /// latency is aggregated into `BENCH_serve.json` instead.
     pub micros: u64,
-    /// Set when the job was answered by a fallback backend after the
-    /// requested one failed transiently (graceful degradation).
+    /// Degradation metadata. Always `None`: no backend degrades.
     pub degraded: Option<Degradation>,
     /// Healing summary, present iff the job's workload was
     /// [`Workload::VrcHeal`] and the run completed.

@@ -378,7 +378,8 @@ pub(crate) fn job_from_pairs(
                 v => deadline_ms = Some(as_int(&key, &v, 0, u64::MAX).map_err(perr)?),
             },
             "islands" => {
-                islands = Some(as_int(&key, &value, 1, 1024).map_err(perr)? as usize);
+                let max = ga_engine::MAX_ISLANDS as u64;
+                islands = Some(as_int(&key, &value, 1, max).map_err(perr)? as usize);
             }
             "epoch" => epoch = Some(as_int(&key, &value, 1, u32::MAX as u64).map_err(perr)? as u32),
             "epochs" => {

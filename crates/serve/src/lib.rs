@@ -7,10 +7,11 @@
 //! units (solos and multi-lane packs), distributed over scoped workers
 //! by an atomic claim loop (`ga_bench::run_sweep`), and each job is
 //! dispatched through the **engine registry** (`ga_engine::global`) to
-//! whichever backend it names — `behavioral`, `rtl`, the 64-lane
-//! `bitsim64` netlist backend, `swga`, or the 32-bit `rtl32` composite. The service itself contains no per-engine drive
-//! loops: admission, packing eligibility (`pack_width`), and the
-//! degradation policy (`degrades_to`) are all read off each engine's
+//! whichever backend it names — `behavioral`, `rtl`, the `bitsim64`
+//! netlist backend, `swga`, or the 32-bit `rtl32` composite. The
+//! service itself contains no per-engine drive loops: admission (with
+//! the [`ga_engine::MAX_EVALUATIONS`] work bound) and packing
+//! eligibility (`pack_width`) are read off each engine's
 //! [`ga_engine::Capabilities`].
 //!
 //! The service provides a bounded job queue with backpressure for
@@ -32,7 +33,9 @@ pub mod net;
 pub mod queue;
 pub mod service;
 
-pub use islands::{read_checkpoint, serve_island_worker, write_checkpoint, Coordinator};
+pub use islands::{
+    read_checkpoint, serve_island_worker, write_checkpoint, CheckpointReadError, Coordinator,
+};
 pub use job::{
     BackendKind, GaJob, HealReport, JobOutput, JobResult, ServeError, Workload, CHROM_WIDTH,
 };

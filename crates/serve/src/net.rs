@@ -23,7 +23,7 @@
 //!   and routes every unit through the batch scheduler's
 //!   panic-isolating, retrying executor
 //!   (`service::exec_unit_with_recovery`) — the streaming path gets the
-//!   same degradation and recovery semantics for free;
+//!   same panic-isolation and retry semantics for free;
 //! * a per-connection **reorder buffer** puts completed results back on
 //!   the wire in input order however the pool interleaves them.
 //!
@@ -454,7 +454,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
 /// Pop work until the queue closes and drains. Each popped job is
 /// opportunistically widened into a pack with same-key jobs already
 /// queued (never blocking to wait for more), then routed through the
-/// batch executor for panic isolation, retry, and degradation parity.
+/// batch executor for panic isolation and retry.
 fn worker_loop(shared: &Arc<Shared>) -> ServeStats {
     let mut stats = ServeStats::default();
     while let Some(first) = shared.queue.pop() {

@@ -49,10 +49,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Simulated-cycle watchdog for the RTL backend.
     pub rtl_watchdog_cycles: u64,
-    /// Simulated-step watchdog for bitsim64 stream extraction. A trip
-    /// degrades the affected jobs to the behavioral backend (typed
-    /// [`crate::job::Degradation`] metadata) instead of failing them.
-    pub bitsim_watchdog_steps: u64,
     /// Retry-with-backoff policy for transient (panic) failures.
     pub retry: RetryPolicy,
     /// Chaos/fault-injection hook, called with `(index, job)` right
@@ -70,7 +66,6 @@ impl Default for ServeConfig {
             threads: default_threads(),
             queue_capacity: 64,
             rtl_watchdog_cycles: 2_000_000_000,
-            bitsim_watchdog_steps: 2_000_000_000,
             retry: RetryPolicy::default(),
             pre_exec: None,
         }
@@ -238,8 +233,9 @@ pub struct ServeStats {
     /// real packed jobs, NOT `packs × 64`: idle tail lanes of a short
     /// pack do not count (the padding-skew fix).
     pub packed_lanes: u64,
-    /// Jobs answered by a fallback backend after their requested one
-    /// failed transiently (graceful degradation).
+    /// Results carrying [`JobResult::degraded`] metadata. No backend
+    /// degrades, so this stays 0; it is kept because perfbench and the
+    /// `degraded_jobs` report metric read it.
     pub degraded: u64,
     /// Worker threads the batch actually ran on — the *clamped* pool
     /// size, not the configured one. This is the `threads` value
@@ -299,7 +295,7 @@ impl ServeStats {
 
     pub(crate) fn counters_mut(&mut self, b: BackendKind) -> &mut BackendCounters {
         // A kind missing its slot (stats built before the backend was
-        // registered, or a degradation target touched first) is
+        // registered, or a late-registry kind touched first) is
         // inserted at its *registry position*, never appended: the
         // documented report order must not depend on which backend
         // happened to run first.
@@ -455,7 +451,7 @@ pub(crate) enum Unit {
 /// packs of at most the backend's pack width (the tail pack simply
 /// carries fewer active lanes); everything else — including *invalid*
 /// packable jobs, which must surface their own typed error, and island
-/// jobs, whose ring already owns its own lane streams — runs solo.
+/// jobs, whose ring steps its own members — runs solo.
 fn plan_units(jobs: &[GaJob]) -> Vec<Unit> {
     let mut units = Vec::new();
     let mut groups: Vec<(PackGroup, usize, Vec<usize>)> = Vec::new();
@@ -793,8 +789,8 @@ mod tests {
 
     #[test]
     fn island_jobs_run_solo_even_on_packing_backends() {
-        // A valid bitsim island job must never join a lockstep pack —
-        // the ring owns its own extracted lane streams — while the
+        // A valid bitsim island job must never join a pack — the ring
+        // steps its own members — while the
         // plain bitsim jobs around it still pack as usual.
         let island = GaJob::new(
             TestFunction::Bf6,
@@ -942,41 +938,6 @@ mod tests {
     }
 
     #[test]
-    fn bitsim_watchdog_degrades_lanes_without_disturbing_the_batch() {
-        // Mixed batch: bitsim jobs (which will pack) interleaved with
-        // behavioral twins of the same parameters. With the step
-        // watchdog set far below the needed draw count, every bitsim
-        // lane must come back as a *successful* behavioral answer with
-        // typed degradation metadata — and match its twin exactly —
-        // while the native behavioral jobs are untouched.
-        let mut jobs = Vec::new();
-        for i in 0..6u16 {
-            jobs.push(quick_job(BackendKind::BitSim64, 0x7000 + i));
-            jobs.push(quick_job(BackendKind::Behavioral, 0x7000 + i));
-        }
-        let out = serve_batch(
-            &jobs,
-            &ServeConfig {
-                bitsim_watchdog_steps: 4,
-                ..Default::default()
-            },
-        );
-        assert_eq!(out.stats.errors(), 0, "degradation is not failure");
-        assert_eq!(out.stats.degraded, 6);
-        for pair in out.results.chunks(2) {
-            let (bit, beh) = (&pair[0], &pair[1]);
-            assert_eq!(bit.backend, BackendKind::Behavioral, "fallback executed");
-            let d = bit.degraded.as_ref().expect("degradation is surfaced");
-            assert_eq!(d.from, BackendKind::BitSim64);
-            assert_eq!(d.reason, ServeError::Watchdog { cycles: 4 });
-            assert_eq!(beh.degraded, None, "native jobs carry no metadata");
-            assert_eq!(bit.outcome, beh.outcome, "fallback answer is exact");
-        }
-        let json = out.stats.to_report().to_json();
-        assert!(json.contains("\"degraded_jobs\": 6"), "missing in {json}");
-    }
-
-    #[test]
     fn report_carries_the_serve_schema() {
         let jobs = vec![quick_job(BackendKind::BitSim64, 9)];
         let out = serve_batch(&jobs, &ServeConfig::default());
@@ -1100,25 +1061,16 @@ mod tests {
     }
 
     #[test]
-    fn metric_order_is_registry_order_even_when_degraded_target_runs_first() {
-        // A degraded bitsim job makes the *behavioral* fallback the
-        // first backend to absorb a result; a batch whose only native
-        // jobs are late-registry kinds then exercises counters_mut on
-        // kinds out of registry sequence. The emitted metric order must
-        // still be the registry order.
+    fn metric_order_is_registry_order_even_when_late_kinds_run_first() {
+        // Late-registry kinds absorb the first results, which exercises
+        // counters_mut on kinds out of registry sequence. The emitted
+        // metric order must still be the registry order.
         let jobs = vec![
-            quick_job(BackendKind::BitSim64, 0xB001), // degrades to behavioral
             quick_job(BackendKind::Swga, 0xB002),
+            quick_job(BackendKind::BitSim64, 0xB001),
             quick_job(BackendKind::Behavioral, 0xB003),
         ];
-        let out = serve_batch(
-            &jobs,
-            &ServeConfig {
-                bitsim_watchdog_steps: 4, // force the degradation
-                ..Default::default()
-            },
-        );
-        assert_eq!(out.stats.degraded, 1, "bitsim job must degrade first");
+        let out = serve_batch(&jobs, &ServeConfig::default());
         let json = out.stats.to_report().to_json();
         let positions: Vec<usize> = ga_engine::global()
             .kinds()

@@ -3,9 +3,7 @@
 //! thread count, with packed bitsim lanes bit-identical to solo runs.
 
 use carng::seeds::{PRESET_SEEDS, TABLE5_SEEDS};
-use carng::CaRng;
-use ga_core::{GaEngine, GaParams};
-use ga_engine::draws_per_run;
+use ga_core::GaParams;
 use ga_fitness::TestFunction;
 use ga_serve::{jsonl, serve_batch, BackendKind, GaJob, JobResult, ServeConfig, ServeError};
 
@@ -103,37 +101,6 @@ fn packed_lane_equals_solo_run_even_in_the_tail() {
 }
 
 #[test]
-fn draw_schedule_formula_matches_engine_instrumentation() {
-    // The packing layer pre-computes how many draws to extract per lane;
-    // if this drifts from the engine's actual consumption, packed runs
-    // would truncate. Check the formula against `rng_draws()` across
-    // shapes, including the paper's Table IV presets.
-    for params in [
-        GaParams::new(2, 1, 10, 1, 7),
-        GaParams::new(8, 4, 10, 1, 7),
-        GaParams::new(15, 3, 12, 2, 7),
-        GaParams::new(32, 512, 12, 1, 7),
-        GaParams::new(64, 64, 13, 2, 7),
-        GaParams::new(128, 4, 14, 3, 7),
-    ] {
-        let mut engine = GaEngine::new(params, CaRng::new(params.seed), |c| {
-            TestFunction::F2.eval_u16(c)
-        });
-        engine.init_population();
-        for _ in 0..params.n_gens {
-            engine.step_generation();
-        }
-        assert_eq!(
-            draws_per_run(&params),
-            engine.rng_draws(),
-            "draw formula wrong for pop {} gens {}",
-            params.pop_size,
-            params.n_gens
-        );
-    }
-}
-
-#[test]
 fn all_width16_backends_agree_on_the_answer() {
     let kinds = ga_engine::global().supporting_width(16);
     assert!(kinds.len() >= 4, "expected every 16-bit engine registered");
@@ -174,9 +141,9 @@ fn all_width16_backends_agree_on_the_answer() {
 
 #[test]
 fn oversized_bitsim_island_stream_is_a_typed_error_not_an_abort() {
-    // A valid island job whose stepping handles would each need a
-    // 1.28e12-draw lane stream: it must be refused by the step budget
-    // in wire position, and the next line must still be served.
+    // An island job whose members would each run 4e9 generations at
+    // pop 128: the work bound refuses it at validation, in wire
+    // position, and the next line is still served.
     let lines = [
         r#"{"fn":"F2","backend":"bitsim64","pop":128,"gens":4000000000,"xover":10,"mut":1,"seed":7,"islands":2,"epoch":4,"epochs":1000000000}"#,
         r#"{"fn":"F2","backend":"bitsim64","pop":16,"gens":8,"xover":10,"mut":1,"seed":7,"islands":2,"epoch":4,"epochs":2}"#,
@@ -186,13 +153,12 @@ fn oversized_bitsim_island_stream_is_a_typed_error_not_an_abort() {
         .enumerate()
         .map(|(i, l)| jsonl::parse_job(l, i).expect("the line parses"))
         .collect();
-    jobs[0]
-        .validate()
-        .expect("the oversized job is valid on the wire");
+    let refused = jobs[0].validate().expect_err("past the work bound");
+    assert!(refused.to_string().contains("admission bound"), "{refused}");
     let out = serve_batch(&jobs, &ServeConfig::default());
     let err = out.results[0].outcome.clone().expect_err("refused");
+    assert_eq!(err, refused);
     assert_eq!(err.code(), "invalid_job", "{err}");
-    assert!(err.to_string().contains("step budget"), "{err}");
     assert!(jsonl::result_line(&out.results[0]).contains("\"invalid_job\""));
     assert!(
         out.results[1].outcome.is_ok(),
