@@ -186,6 +186,29 @@ for line in \
         "$SMOKE_DIR/oversized.jsonl"
 done
 
+echo "== gaserved: a job exactly at the admission bound is served on every backend"
+# The bound must admit as well as refuse: pop 2 x 2097150 generations is
+# exactly ga_engine::MAX_EVALUATIONS (2^21) evaluations, the longest
+# history a run may keep. One gaserved process per backend must answer
+# with one ok line carrying these values; rtl32 evolves 32-bit
+# chromosomes, so its best and settling generation differ. rtl and
+# rtl32 take about 3 s each.
+BOUND_JOB='"pop":2,"gens":2097150,"xover":10,"mut":1,"seed":7}'
+for backend in behavioral swga bitsim64 rtl rtl32; do
+    width=""
+    expect='"best_chrom":65280,"best_fitness":3060,"generations":2097150,"evaluations":2097152,"conv_gen":2097093'
+    if [ "$backend" = rtl32 ]; then
+        width='"width":32,'
+        expect='"best_chrom":4278255360,"best_fitness":3060,"generations":2097150,"evaluations":2097152,"conv_gen":2097064'
+    fi
+    echo "{\"fn\":\"F2\",\"backend\":\"$backend\",$width$BOUND_JOB" \
+        | GA_BENCH_OUT="$SMOKE_DIR" ./target/release/gaserved \
+            --input /dev/stdin --out "$SMOKE_DIR/bound.jsonl" 2> /dev/null
+    test "$(wc -l < "$SMOKE_DIR/bound.jsonl")" -eq 1
+    grep -q "^{\"job\":0,\"backend\":\"$backend\",\"ok\":true,$expect[,}]" "$SMOKE_DIR/bound.jsonl" \
+        || { echo "$backend: unexpected answer at the bound"; cat "$SMOKE_DIR/bound.jsonl"; exit 1; }
+done
+
 echo "== serve bench (200-job acceptance batch, pack-path throughput floor)"
 # The pack-path + cache gate. The 200-job batch cycles the five
 # registered backends, so its 40 bitsim64 jobs always plan into exactly

@@ -23,7 +23,7 @@
 
 use carng::{CaRng, Rng16};
 use ga_core::{GaParams, HwRun};
-use ga_engine::{trajectory16, RunOutcome};
+use ga_engine::RunOutcome;
 use ga_fitness::TestFunction;
 use ga_synth::bitsim::CompiledNetlist;
 use ga_synth::{FaultInjector, NetFault};
@@ -104,9 +104,7 @@ pub fn classify_hw(golden: &RunOutcome, outcome: &Result<(HwRun, bool), SimError
             if (run.best.chrom as u32, run.best.fitness) != (golden.best_chrom, golden.best_fitness)
             {
                 FaultClass::Corrupted
-            } else if trajectory16(&run.history) != golden.trajectory
-                || Some(run.rng_draws) != golden.rng_draws
-            {
+            } else if run.history != golden.trajectory || Some(run.rng_draws) != golden.rng_draws {
                 FaultClass::Detected
             } else {
                 FaultClass::Masked
@@ -212,9 +210,9 @@ mod tests {
             seconds: 0.0,
             history: vec![GenStats {
                 gen: 0,
-                best: Individual { chrom: 1, fitness },
+                best_chrom: 1,
+                best_fitness: fitness,
                 fit_sum: fitness as u32,
-                pop_size: 8,
             }],
             rng_draws: draws,
         }
@@ -230,7 +228,7 @@ mod tests {
             conv_gen: None,
             cycles: Some(run.cycles),
             rng_draws: Some(run.rng_draws),
-            trajectory: trajectory16(&run.history),
+            trajectory: run.history.clone(),
         }
     }
 

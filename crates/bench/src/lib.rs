@@ -33,7 +33,7 @@ pub use fault::{
 pub use report::{
     gens_override, json_extract_number, json_extract_string, quick, BenchReport, Stopwatch,
 };
-pub use sweep::{default_threads, grid3, lane_chunks, run_sweep};
+pub use sweep::{default_threads, grid3, run_sweep};
 pub use testgen::{
     evolve_detectors, random_baseline, Detector, Probe, SiteBitmap, TestgenCtx, NET_SITES,
     SCAN_SITES, TOTAL_SITES,

@@ -73,20 +73,6 @@ where
     got.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Split `n_items` work items into contiguous chunks of at most
-/// `lanes` items — the job-packing shape of a 64-lane bit-sliced
-/// simulation. Every item lands in exactly one chunk, in input order,
-/// and only the final chunk may be short (its *actual* length is the
-/// number of active lanes; idle tail lanes must not contribute to
-/// results or metrics).
-pub fn lane_chunks(n_items: usize, lanes: usize) -> Vec<std::ops::Range<usize>> {
-    assert!(lanes >= 1, "a chunk must hold at least one lane");
-    (0..n_items)
-        .step_by(lanes)
-        .map(|start| start..(start + lanes).min(n_items))
-        .collect()
-}
-
 /// The cross product `a × b × c` in row-major order (`a` slowest,
 /// `c` fastest) — the cell order the paper's grid tables print in
 /// (seed rows; `p32/x10, p32/x12, p64/x10, p64/x12` columns).
@@ -141,42 +127,6 @@ mod tests {
             assert_eq!(idx, i as u64);
             assert_eq!(x, items[i]);
         }
-    }
-
-    #[test]
-    fn lane_chunks_cover_everything_in_order() {
-        for (n, lanes) in [
-            (0usize, 64usize),
-            (1, 64),
-            (64, 64),
-            (65, 64),
-            (200, 64),
-            (7, 3),
-        ] {
-            let chunks = lane_chunks(n, lanes);
-            let mut covered = Vec::new();
-            for c in &chunks {
-                assert!(c.len() <= lanes, "chunk {c:?} wider than {lanes} lanes");
-                assert!(!c.is_empty(), "empty chunk for n={n}");
-                covered.extend(c.clone());
-            }
-            assert_eq!(covered, (0..n).collect::<Vec<_>>(), "n={n} lanes={lanes}");
-            // Only the last chunk may be short.
-            for c in chunks.iter().rev().skip(1) {
-                assert_eq!(c.len(), lanes);
-            }
-        }
-    }
-
-    #[test]
-    fn lane_chunks_tail_is_the_remainder() {
-        // 200 jobs at 64 lanes: 64 + 64 + 64 + 8 — the regression shape
-        // for the padding-skew fix (the 8-lane tail must be honored as
-        // 8 jobs, not silently padded to 64).
-        let chunks = lane_chunks(200, 64);
-        assert_eq!(chunks.len(), 4);
-        assert_eq!(chunks[3], 192..200);
-        assert_eq!(chunks[3].len(), 8);
     }
 
     proptest! {

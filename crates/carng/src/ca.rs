@@ -60,6 +60,36 @@ impl CaRng {
     pub fn rules(&self) -> u16 {
         self.rules
     }
+
+    /// Jump the stream forward by `steps` steps in O(log steps), without
+    /// generating the values in between. The hybrid rule-90/150 update
+    /// is linear over GF(2), so `steps` steps are the one-step matrix
+    /// raised to `steps`: the state is multiplied by its squarings
+    /// `M^(2^i)` for every set bit `i` of `steps`.
+    pub fn jump(&mut self, mut steps: u64) {
+        // Row `i` masks the state bits whose parity is next-state bit
+        // `i`; column `j` is one step from the unit state `1 << j`.
+        let mut m: [u16; 16] = std::array::from_fn(|i| {
+            (0..16).fold(0, |row, j| {
+                row | ((Self::step_state(1 << j, self.rules) >> i) & 1) << j
+            })
+        });
+        while steps > 0 {
+            if steps & 1 == 1 {
+                let v = self.state;
+                self.state = (0..16).fold(0, |out, i| {
+                    out | (((m[i] & v).count_ones() & 1) as u16) << i
+                });
+            }
+            // M² row i: the XOR of M's rows selected by M's row i.
+            m = std::array::from_fn(|i| {
+                (0..16)
+                    .filter(|&k| (m[i] >> k) & 1 == 1)
+                    .fold(0, |acc, k| acc ^ m[k])
+            });
+            steps >>= 1;
+        }
+    }
 }
 
 impl Rng16 for CaRng {
@@ -126,6 +156,22 @@ mod tests {
         );
         rng.reseed(0);
         assert_eq!(rng.output(), 1);
+    }
+
+    #[test]
+    fn jump_equals_stepping() {
+        // Past one period too, and on a non-maximal rule vector.
+        for rules in [MAXIMAL_RULE_VECTOR, 0x1234] {
+            for steps in [0u64, 1, 2, 63, 1000, 65_535, 123_456] {
+                let mut jumper = CaRng::with_rules(0xB342, rules);
+                let mut stepper = jumper.clone();
+                jumper.jump(steps);
+                for _ in 0..steps {
+                    stepper.step();
+                }
+                assert_eq!(jumper, stepper, "rules {rules:#06x}, steps {steps}");
+            }
+        }
     }
 
     #[test]

@@ -32,11 +32,9 @@ pub mod ca;
 pub mod lfsr;
 pub mod seeds;
 pub mod stats;
-pub mod wide;
 
 pub use ca::CaRng;
 pub use lfsr::Lfsr16;
-pub use wide::CaRngW;
 
 /// A 16-bit hardware-style PRNG: an output register plus an advance
 /// (consume) operation.

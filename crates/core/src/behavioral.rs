@@ -34,24 +34,20 @@ pub struct Individual {
 }
 
 /// Per-generation statistics — what the paper's Chipscope probes
-/// recorded ("best fitness" and "sum of fitness" per generation).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// recorded ("best fitness" and "sum of fitness" per generation). The
+/// one record every engine keeps, 16- and 32-bit alike: chromosomes are
+/// `u32`, 16-bit ones zero-extended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GenStats {
     /// Generation index; 0 is the initial random population.
     pub gen: u32,
-    /// Best individual in this population.
-    pub best: Individual,
-    /// Sum of all fitness values in this population.
+    /// Best chromosome in this population.
+    pub best_chrom: u32,
+    /// Its fitness.
+    pub best_fitness: u16,
+    /// Sum of all fitness values in this population (drives the
+    /// Table V convergence metric).
     pub fit_sum: u32,
-    /// Population size (for computing the average).
-    pub pop_size: u8,
-}
-
-impl GenStats {
-    /// Average fitness of the population.
-    pub fn avg(&self) -> f64 {
-        self.fit_sum as f64 / self.pop_size as f64
-    }
 }
 
 /// Result of a complete optimization run.
@@ -342,9 +338,9 @@ impl<R: Rng16, F: FnMut(u16) -> u16, C: StepCost> GaEngine<R, F, C> {
     fn stats(&self) -> GenStats {
         GenStats {
             gen: self.gen,
-            best: self.best,
+            best_chrom: self.best.chrom as u32,
+            best_fitness: self.best.fitness,
             fit_sum: self.fit_sum,
-            pop_size: self.params.pop_size,
         }
     }
 
@@ -362,21 +358,19 @@ impl<R: Rng16, F: FnMut(u16) -> u16, C: StepCost> GaEngine<R, F, C> {
     /// Returns `None` when the deadline passed before the last one.
     pub fn run_with_deadline(mut self, deadline: Option<&Deadline>) -> Option<GaRun<C>> {
         let mut history = Vec::with_capacity(self.params.n_gens as usize + 1);
-        let init = self.init_population();
+        history.push(self.init_population());
         // With elitism the final generation's best IS the best ever;
         // without it (ablation) the best can be lost, so the run keeps
         // the best over every generation.
-        let mut best = init.best;
-        history.push(init);
+        let mut best = self.best;
         for _ in 0..self.params.n_gens {
             if deadline.is_some_and(Deadline::is_past) {
                 return None;
             }
-            let stats = self.step_generation();
-            if stats.best.fitness > best.fitness {
-                best = stats.best;
+            history.push(self.step_generation());
+            if self.best.fitness > best.fitness {
+                best = self.best;
             }
-            history.push(stats);
         }
         Some(GaRun {
             best,
@@ -512,11 +506,11 @@ mod tests {
         let mut prev = 0u16;
         for s in &run.history {
             assert!(
-                s.best.fitness >= prev,
+                s.best_fitness >= prev,
                 "best fitness regressed at gen {}",
                 s.gen
             );
-            prev = s.best.fitness;
+            prev = s.best_fitness;
         }
     }
 
@@ -655,10 +649,10 @@ mod tests {
         let regressed = run
             .history
             .windows(2)
-            .any(|w| w[1].best.fitness < w[0].best.fitness);
+            .any(|w| w[1].best_fitness < w[0].best_fitness);
         assert!(regressed, "non-elitist run never regressed — suspicious");
         // ...and the reported overall best is still the max over history.
-        let max = run.history.iter().map(|s| s.best.fitness).max().unwrap();
+        let max = run.history.iter().map(|s| s.best_fitness).max().unwrap();
         assert_eq!(run.best.fitness, max);
     }
 

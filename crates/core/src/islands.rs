@@ -5,7 +5,7 @@
 //!
 //! Each island runs the paper's exact GA with its **own CA RNG at a
 //! jump-ahead offset** on a shared stream (so streams are provably
-//! disjoint, `carng::wide`), evolving independently for a migration
+//! disjoint, `CaRng::jump`), evolving independently for a migration
 //! epoch and then passing its best individual to the next island on a
 //! ring, where it replaces the worst member. Islands execute on
 //! std scoped threads — the software realization of the
@@ -14,9 +14,7 @@
 
 use std::convert::Infallible;
 
-use carng::ca::MAXIMAL_RULE_VECTOR;
-use carng::wide::CaRngW;
-use carng::{CaRng, SnapshotRng};
+use carng::{CaRng, Rng16, SnapshotRng};
 
 use crate::behavioral::{GaEngine, Individual};
 use crate::params::GaParams;
@@ -102,9 +100,9 @@ pub struct IslandRun {
 /// `k · 2^16 / islands` states, so island streams never overlap within
 /// an epoch's draw budget.
 pub fn island_seed(base_seed: u16, k: usize, islands: usize) -> u16 {
-    let mut rng = CaRngW::<16>::new(base_seed as u64, MAXIMAL_RULE_VECTOR as u64);
+    let mut rng = CaRng::new(base_seed);
     rng.jump((k as u64 * 65_535) / islands as u64);
-    rng.output() as u16
+    rng.output()
 }
 
 /// Run the island model. `fitness` is shared by all islands (`Fn + Sync`
@@ -289,6 +287,30 @@ mod tests {
         let seeds: Vec<u16> = (0..8).map(|k| island_seed(0x2961, k, 8)).collect();
         let distinct: std::collections::HashSet<u16> = seeds.iter().copied().collect();
         assert_eq!(distinct.len(), 8, "{seeds:?}");
+    }
+
+    #[test]
+    fn island_seeds_are_the_stepped_shared_stream() {
+        // Island k of n starts k·65535/n steps down the base seed's CA
+        // stream: the jump must land where plain stepping does.
+        let mut cases: Vec<(usize, usize)> = [1, 2, 3, 8]
+            .iter()
+            .flat_map(|&n| (0..n).map(move |k| (k, n)))
+            .collect();
+        cases.extend([0, 1, 511, 1023].map(|k| (k, 1024)));
+        for base in [0u16, 1, 0x2961, 0xFFFF] {
+            for &(k, n) in &cases {
+                let mut rng = CaRng::new(base);
+                for _ in 0..(k as u64 * 65_535) / n as u64 {
+                    rng.step();
+                }
+                assert_eq!(
+                    island_seed(base, k, n),
+                    rng.output(),
+                    "base {base:#06x}, island {k} of {n}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@
 
 use carng::Rng16;
 
+use crate::behavioral::GenStats;
 use crate::ops;
 use crate::params::GaParams;
 
@@ -54,24 +55,13 @@ pub struct Individual32 {
     pub fitness: u16,
 }
 
-/// Per-generation statistics of a 32-bit run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GenStats32 {
-    /// Generation index (0 = initial population).
-    pub gen: u32,
-    /// Best individual of the population.
-    pub best: Individual32,
-    /// Population fitness sum.
-    pub fit_sum: u32,
-}
-
 /// Result of a 32-bit run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GaRun32 {
     /// Best individual found.
     pub best: Individual32,
     /// Per-generation history.
-    pub history: Vec<GenStats32>,
+    pub history: Vec<GenStats>,
     /// Fitness evaluations performed.
     pub evaluations: u64,
 }
@@ -143,7 +133,7 @@ impl<R1: Rng16, R2: Rng16, F: FnMut(u32) -> u16> GaEngine32<R1, R2, F> {
         (self.fitness)(chrom)
     }
 
-    fn init_population(&mut self) -> GenStats32 {
+    fn init_population(&mut self) -> GenStats {
         self.cur.clear();
         self.fit_sum = 0;
         for i in 0..self.params.pop_size {
@@ -211,7 +201,7 @@ impl<R1: Rng16, R2: Rng16, F: FnMut(u32) -> u16> GaEngine32<R1, R2, F> {
         ((msb as u32) << 16) | lsb as u32
     }
 
-    fn step_generation(&mut self) -> GenStats32 {
+    fn step_generation(&mut self) -> GenStats {
         let pop = self.params.pop_size as usize;
         ops::prefix_sums(self.cur.iter().map(|i| i.fitness), &mut self.prefix);
         debug_assert_eq!(self.prefix.last(), Some(&self.fit_sum));
@@ -247,10 +237,11 @@ impl<R1: Rng16, R2: Rng16, F: FnMut(u32) -> u16> GaEngine32<R1, R2, F> {
         self.stats()
     }
 
-    fn stats(&self) -> GenStats32 {
-        GenStats32 {
+    fn stats(&self) -> GenStats {
+        GenStats {
             gen: self.gen,
-            best: self.best,
+            best_chrom: self.best.chrom,
+            best_fitness: self.best.fitness,
             fit_sum: self.fit_sum,
         }
     }
@@ -356,8 +347,8 @@ mod tests {
         let run = GaEngine32::new(params, CaRng::new(5), CaRng::new(6), sum_halves).run();
         let mut prev = 0;
         for s in &run.history {
-            assert!(s.best.fitness >= prev);
-            prev = s.best.fitness;
+            assert!(s.best_fitness >= prev);
+            prev = s.best_fitness;
         }
     }
 

@@ -1,6 +1,7 @@
 //! The complete GA module of Fig. 4: core + RNG + GA memory + FEM bank,
 //! wired exactly as the paper's block diagram, plus the user-side
-//! initialization module and a Chipscope-style probe.
+//! initialization module and a Chipscope-style probe (the core's
+//! `stats_event` recorded into the run history).
 //!
 //! The per-cycle evaluation order implements the combinational wiring:
 //! every module's registered outputs are sampled first, then each module
@@ -11,7 +12,7 @@
 
 use ga_fitness::fem::{Fem, FemBank, FemBankIn, FemIn};
 use hwsim::vcd::VcdVar;
-use hwsim::{Clocked, HandshakeMonitor, Sim, SimError, Trace, VcdWriter};
+use hwsim::{Clocked, HandshakeMonitor, Sim, SimError, VcdWriter};
 
 use crate::behavioral::{GenStats, Individual};
 use crate::hwcore::GaCoreHw;
@@ -107,9 +108,7 @@ pub struct GaSystem {
     /// The level-based handshakes make the crossing safe; a higher
     /// ratio shortens every fitness transaction as seen in GA cycles.
     pub fast_domain_ratio: u32,
-    trace: Trace,
     history: Vec<GenStats>,
-    pop_size_hint: u8,
     vcd: Option<VcdCapture>,
     monitor: Option<HandshakeMonitor>,
 }
@@ -143,9 +142,7 @@ impl GaSystem {
             fitfunc_select: 0,
             preset: 0,
             fast_domain_ratio: 1,
-            trace: Trace::new(),
             history: Vec::new(),
-            pop_size_hint: GaParams::default().pop_size,
             vcd: None,
             monitor: None,
         }
@@ -215,11 +212,6 @@ impl GaSystem {
     /// Elapsed cycles since construction.
     pub fn cycles(&self) -> u64 {
         self.sim.cycles()
-    }
-
-    /// The Chipscope-style trace (best/sum per generation).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// One clock cycle of the whole system.
@@ -314,18 +306,12 @@ impl GaSystem {
         }
 
         if let Some((gen, chrom, fitness, sum)) = stats {
-            let s = GenStats {
+            self.history.push(GenStats {
                 gen,
-                best: Individual { chrom, fitness },
+                best_chrom: chrom as u32,
+                best_fitness: fitness,
                 fit_sum: sum,
-                pop_size: self.pop_size_hint,
-            };
-            self.history.push(s);
-            // Chipscope-style: samples are stamped with the capture
-            // clock cycle (monotone across reruns), not the generation.
-            let t = self.sim.cycles();
-            self.trace.record("best_fitness", t, fitness as u64);
-            self.trace.record("sum_fitness", t, sum as u64);
+            });
         }
     }
 
@@ -334,7 +320,6 @@ impl GaSystem {
     /// initialization-module FSM. Returns the cycles consumed.
     pub fn program(&mut self, params: &GaParams) -> u64 {
         params.validate().expect("invalid GA parameters");
-        self.pop_size_hint = params.pop_size;
         let start = self.sim.cycles();
         let mut init = crate::init::InitModule::new(params);
         init.reset();
@@ -437,7 +422,7 @@ impl GaSystem {
         let best_fitness = self
             .history
             .last()
-            .map(|s| s.best.fitness)
+            .map(|s| s.best_fitness)
             .unwrap_or_default();
         Ok((
             HwRun {
@@ -447,7 +432,7 @@ impl GaSystem {
                 },
                 cycles,
                 seconds: cycles as f64 * self.sim.period_ps() as f64 * 1e-12,
-                history: self.history.clone(),
+                history: std::mem::take(&mut self.history),
                 rng_draws: self.modules.core.rng_draws(),
             },
             injected,
@@ -560,20 +545,29 @@ mod tests {
         // History is monotone (elitism) and ends at the reported best.
         let mut prev = 0;
         for s in &run.history {
-            assert!(s.best.fitness >= prev);
-            prev = s.best.fitness;
+            assert!(s.best_fitness >= prev);
+            prev = s.best_fitness;
         }
         assert_eq!(run.best.fitness, prev);
     }
 
     #[test]
     fn trace_records_chipscope_series() {
+        // The probe's history is the Chipscope capture: one (best
+        // fitness, fitness sum) sample per generation, gen 0 included,
+        // and each best is a real member the sum covers.
         let mut sys = system_for(TestFunction::F3);
         let params = GaParams::new(8, 3, 10, 1, 0xB342);
-        sys.program_and_run(&params, 2_000_000).unwrap();
-        let t = sys.trace();
-        assert_eq!(t.series("best_fitness").unwrap().samples.len(), 4);
-        assert_eq!(t.series("sum_fitness").unwrap().samples.len(), 4);
+        let run = sys.program_and_run(&params, 2_000_000).unwrap();
+        let gens: Vec<u32> = run.history.iter().map(|s| s.gen).collect();
+        assert_eq!(gens, [0, 1, 2, 3]);
+        for s in &run.history {
+            assert_eq!(
+                s.best_fitness,
+                TestFunction::F3.eval_u16(s.best_chrom as u16)
+            );
+            assert!(s.fit_sum >= s.best_fitness as u32, "gen {}", s.gen);
+        }
     }
 
     #[test]
@@ -669,7 +663,6 @@ mod tests {
     fn preset_mode_runs_without_programming() {
         let mut sys = system_for(TestFunction::F3);
         sys.preset = 0b01; // Table IV Small: pop 32, 512 gens
-        sys.pop_size_hint = 32;
         let run = sys.run(200_000_000).unwrap();
         assert_eq!(run.history.len(), 513);
         assert_eq!(run.best.fitness, 3060, "512 generations solve F3");

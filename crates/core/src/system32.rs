@@ -29,11 +29,12 @@
 
 use hwsim::{Clocked, Reg, Sim, SimError};
 
+use crate::behavioral::GenStats;
 use crate::memory::{pack, unpack, GaMemory};
 use crate::params::GaParams;
 use crate::ports::GaCoreIn;
 use crate::rngmod::RngModule;
-use crate::scaling::{GaRun32, GenStats32, Individual32};
+use crate::scaling::{GaRun32, Individual32};
 use crate::system::UserIn;
 use crate::GaCoreHw;
 
@@ -100,7 +101,7 @@ pub struct GaSystem32<F: FnMut(u32) -> u16> {
     mem2: GaMemory,
     fem: Fem32<F>,
     sim: Sim,
-    history: Vec<GenStats32>,
+    history: Vec<GenStats>,
     pop_size: u8,
 }
 
@@ -209,12 +210,10 @@ impl<F: FnMut(u32) -> u16> GaSystem32<F> {
             (comb1.stats_event, comb2.stats_event)
         {
             debug_assert_eq!(gen, gen2, "cores out of lockstep at a generation boundary");
-            self.history.push(GenStats32 {
+            self.history.push(GenStats {
                 gen,
-                best: Individual32 {
-                    chrom: ((msb as u32) << 16) | lsb as u32,
-                    fitness: fit,
-                },
+                best_chrom: ((msb as u32) << 16) | lsb as u32,
+                best_fitness: fit,
                 fit_sum: sum,
             });
         }
@@ -309,12 +308,12 @@ impl<F: FnMut(u32) -> u16> GaSystem32<F> {
         let fitness = self
             .history
             .last()
-            .map(|s| s.best.fitness)
+            .map(|s| s.best_fitness)
             .unwrap_or_default();
         Ok(GaRun32 {
             best: Individual32 { chrom, fitness },
-            history: self.history.clone(),
-            evaluations: 0,
+            history: std::mem::take(&mut self.history),
+            evaluations: self.core1.programmed_params().evaluations_per_run(),
         })
     }
 
@@ -370,14 +369,7 @@ mod tests {
         let run = hw
             .program_and_run(&params, 1_000_000_000)
             .expect("hardware run timed out");
-        assert_eq!(run.history.len(), sw.history.len());
-        for (h, s) in run.history.iter().zip(sw.history.iter()) {
-            assert_eq!(h.gen, s.gen);
-            assert_eq!(h.best, s.best, "best at gen {}", s.gen);
-            assert_eq!(h.fit_sum, s.fit_sum, "fit_sum at gen {}", s.gen);
-        }
-        assert_eq!(run.best.chrom, sw.best.chrom);
-        assert_eq!(run.best.fitness, sw.best.fitness);
+        assert_eq!(run, sw);
     }
 
     #[test]

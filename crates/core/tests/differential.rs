@@ -35,9 +35,7 @@ fn assert_models_agree(f: TestFunction, params: GaParams) {
     // Per-generation statistics (gen 0 .. n_gens).
     assert_eq!(hw_run.history.len(), sw.history.len(), "history length");
     for (h, s) in hw_run.history.iter().zip(sw.history.iter()) {
-        assert_eq!(h.gen, s.gen);
-        assert_eq!(h.best, s.best, "best at gen {}", s.gen);
-        assert_eq!(h.fit_sum, s.fit_sum, "fitness sum at gen {}", s.gen);
+        assert_eq!(h, s, "statistics at gen {}", s.gen);
     }
 
     // RNG consumption: draw-for-draw identical.
@@ -155,7 +153,6 @@ fn models_agree_with_lfsr_rng() {
     assert_eq!(hw_run.best.chrom, sw.best.chrom);
     assert_eq!(hw_run.history.len(), sw.history.len());
     for (h, s) in hw_run.history.iter().zip(sw.history.iter()) {
-        assert_eq!(h.best, s.best, "gen {}", s.gen);
-        assert_eq!(h.fit_sum, s.fit_sum, "gen {}", s.gen);
+        assert_eq!(h, s, "gen {}", s.gen);
     }
 }

@@ -8,17 +8,14 @@
 
 use carng::{CaRng, Rng16, SnapshotRng};
 use ga_core::analysis::convergence_generation;
-use ga_core::behavioral::GenStats;
-use ga_core::scaling::GenStats32;
-use ga_core::{GaEngine, GaSystem, GaSystem32, StepCost};
+use ga_core::{GaEngine, GaSystem, GaSystem32, GenStats, StepCost};
 use ga_fitness::{FemBank, FemSlot, LookupFem};
 use hwsim::{Deadline, SimError};
 use swga::OpCounts;
 
 use crate::pack::TableRng;
 use crate::spec::{
-    BackendKind, Capabilities, Engine, EngineError, Limits, Prepared, RunOutcome, RunSpec,
-    TrajPoint, Workload,
+    BackendKind, Capabilities, Engine, EngineError, Limits, Prepared, RunOutcome, RunSpec, Workload,
 };
 
 /// Build the lookup FEM realizing a workload on the RTL system: a paper
@@ -40,38 +37,9 @@ fn lookup_fem(workload: Workload) -> LookupFem {
     }
 }
 
-/// Lift a 16-bit per-generation history (shared by the behavioral
-/// engine, the RTL interpreter's probe, and the swga reference) into
-/// the backend-neutral trajectory. Public because the fault campaign
-/// compares raw `HwRun` histories against registry goldens.
-pub fn trajectory16(history: &[GenStats]) -> Vec<TrajPoint> {
-    history
-        .iter()
-        .map(|s| TrajPoint {
-            gen: s.gen,
-            best_chrom: s.best.chrom as u32,
-            best_fitness: s.best.fitness,
-            fit_sum: s.fit_sum,
-        })
-        .collect()
-}
-
-/// Lift a 32-bit history ([`GenStats32`]) into the same trajectory.
-pub fn trajectory32(history: &[GenStats32]) -> Vec<TrajPoint> {
-    history
-        .iter()
-        .map(|s| TrajPoint {
-            gen: s.gen,
-            best_chrom: s.best.chrom,
-            best_fitness: s.best.fitness,
-            fit_sum: s.fit_sum,
-        })
-        .collect()
-}
-
-/// Table V convergence of a backend-neutral trajectory.
-fn conv_gen(trajectory: &[TrajPoint], pop_size: u8) -> Option<u32> {
-    convergence_generation(trajectory.iter().map(|t| (t.gen, t.fit_sum)), pop_size)
+/// Table V convergence of a run's history.
+fn conv_gen(history: &[GenStats], pop_size: u8) -> Option<u32> {
+    convergence_generation(history.iter().map(|s| (s.gen, s.fit_sum)), pop_size)
 }
 
 /// One 16-bit run of `ga_core::GaEngine` under the spec's deadline
@@ -90,16 +58,15 @@ fn run16<R: Rng16, C: StepCost>(
     let run = GaEngine::with_cost(params, rng, move |c| f.eval_u16(c), cost)
         .run_with_deadline(deadline.as_ref())
         .ok_or(EngineError::DeadlineExceeded)?;
-    let trajectory = trajectory16(&run.history);
     Ok(RunOutcome {
         best_chrom: run.best.chrom as u32,
         best_fitness: run.best.fitness,
         generations: params.n_gens,
         evaluations: run.evaluations,
-        conv_gen: conv_gen(&trajectory, params.pop_size),
+        conv_gen: conv_gen(&run.history, params.pop_size),
         cycles: None,
         rng_draws: Some(run.rng_draws),
-        trajectory,
+        trajectory: run.history,
     })
 }
 
@@ -171,16 +138,15 @@ impl Engine for RtlInterpEngine {
         let run = sys
             .run_with_deadline(limits.sim_watchdog_cycles, deadline.as_mut())
             .map_err(map_sim_error)?;
-        let trajectory = trajectory16(&run.history);
         Ok(RunOutcome {
             best_chrom: run.best.chrom as u32,
             best_fitness: run.best.fitness,
             generations: spec.params.n_gens,
             evaluations: spec.params.evaluations_per_run(),
-            conv_gen: conv_gen(&trajectory, spec.params.pop_size),
+            conv_gen: conv_gen(&run.history, spec.params.pop_size),
             cycles: Some(run.cycles),
             rng_draws: Some(run.rng_draws),
-            trajectory,
+            trajectory: run.history,
         })
     }
 }
@@ -272,16 +238,15 @@ impl Engine for Rtl32Engine {
         let run = sys
             .run_with_deadline(limits.sim_watchdog_cycles, deadline.as_mut())
             .map_err(map_sim_error)?;
-        let trajectory = trajectory32(&run.history);
         Ok(RunOutcome {
             best_chrom: run.best.chrom,
             best_fitness: run.best.fitness,
             generations: spec.params.n_gens,
-            evaluations: spec.params.evaluations_per_run(),
-            conv_gen: conv_gen(&trajectory, spec.params.pop_size),
+            evaluations: run.evaluations,
+            conv_gen: conv_gen(&run.history, spec.params.pop_size),
             cycles: Some(sys.cycles() - start_cycles),
             rng_draws: None,
-            trajectory,
+            trajectory: run.history,
         })
     }
 }
@@ -358,7 +323,7 @@ mod tests {
         .run();
         assert_eq!(hw.best_chrom, sw.best.chrom);
         assert_eq!(hw.best_fitness, sw.best.fitness);
-        assert_eq!(hw.trajectory, trajectory32(&sw.history));
+        assert_eq!(hw.trajectory, sw.history);
         assert_eq!(hw.evaluations, params.evaluations_per_run());
         assert!(hw.cycles.expect("rtl32 reports cycles") > 0);
     }
@@ -497,9 +462,8 @@ mod tests {
 
     #[test]
     fn outcome_convergence_is_the_history_rule() {
-        // The trajectory lifts each generation's (gen, fit_sum) intact,
-        // so the reported conv_gen is the Table V rule over the run's
-        // own history.
+        // The trajectory is the run's own history, so the reported
+        // conv_gen is the Table V rule over it.
         for f in TestFunction::ALL {
             let params = GaParams::new(16, 24, 10, 1, 0x2961 ^ f as u16);
             let mut s = spec(16, params);

@@ -5,11 +5,11 @@
 //! chromosome widths, pack width, stepping support), admits jobs
 //! through [`Engine::prepare`] (widths, the Table III ranges and the
 //! [`MAX_EVALUATIONS`] work bound), and executes them into the
-//! backend-neutral
-//! [`RunOutcome`] shape. The [`EngineRegistry`] enumerates the
-//! backends; serve dispatch, bench sweeps, the fault campaign's golden
-//! runs, and the conformance suite all go through it rather than
-//! naming engines.
+//! backend-neutral [`RunOutcome`] shape, whose `trajectory` is the
+//! backend's own per-generation `ga_core::GenStats` history, moved in
+//! without a copy. The [`EngineRegistry`] enumerates the backends;
+//! serve dispatch, bench sweeps, the fault campaign's golden runs, and
+//! the conformance suite all go through it rather than naming engines.
 //!
 //! Five backends are registered by default ([`registry::global`]):
 //!
@@ -39,10 +39,7 @@ pub mod pack;
 pub mod registry;
 pub mod spec;
 
-pub use adapters::{
-    trajectory16, trajectory32, BehavioralEngine, BitSim64Engine, Rtl32Engine, RtlInterpEngine,
-    SwgaEngine,
-};
+pub use adapters::{BehavioralEngine, BitSim64Engine, Rtl32Engine, RtlInterpEngine, SwgaEngine};
 pub use cache::{global_cache, NetlistCache};
 pub use islands::{
     island_member, CheckpointBundle, IslandsDriver, IslandsEngine, CHECKPOINT_VERSION, MAX_ISLANDS,
@@ -51,5 +48,5 @@ pub use pack::{ca_lane_streams, CaRngTable, TableRng};
 pub use registry::{global, EngineRegistry};
 pub use spec::{
     BackendKind, Capabilities, Engine, EngineError, Limits, Prepared, RunOutcome, RunSpec,
-    TrajPoint, Workload, MAX_EVALUATIONS,
+    Workload, MAX_EVALUATIONS,
 };

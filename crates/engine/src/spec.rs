@@ -5,14 +5,14 @@
 //!
 //! The shape is deliberately backend-neutral: `best_chrom` is `u32` so
 //! the ganged 32-bit core fits the same outcome as the 16-bit engines,
-//! and the per-generation [`TrajPoint`] trajectory carries enough state
-//! (best individual + fitness sum) for both the Table V convergence
-//! metric and the fault-campaign golden comparison, regardless of which
-//! backend produced it.
+//! and the per-generation [`GenStats`] trajectory carries enough state
+//! (best chromosome, its fitness, fitness sum) for both the Table V
+//! convergence metric and the fault-campaign golden comparison,
+//! regardless of which backend produced it.
 
 use std::fmt;
 
-use ga_core::GaParams;
+use ga_core::{GaParams, GenStats};
 use ga_ehw::{healing_fitness, Fault, TruthTable};
 use ga_fitness::TestFunction;
 
@@ -153,9 +153,10 @@ pub struct Capabilities {
 /// ([`GaParams::evaluations_per_run`]) one run may consume. 2²¹ is 4×
 /// the largest solo shape in the repo, the Table IV Large preset
 /// (128 × 4096 = 520 320 evaluations); it caps the per-generation
-/// history a run keeps at about two million entries (pop 2). An island
-/// ring keeps no history and may do `MAX_ISLANDS × MAX_EVALUATIONS` in
-/// total ([`Capabilities::admit_ring`]).
+/// history a run keeps, once, at about two million 16-byte
+/// [`GenStats`] (32 MiB at pop 2). An island ring keeps no history and
+/// may do `MAX_ISLANDS × MAX_EVALUATIONS` in total
+/// ([`Capabilities::admit_ring`]).
 pub const MAX_EVALUATIONS: u64 = 1 << 21;
 
 impl Capabilities {
@@ -281,21 +282,6 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// One point of a run's per-generation trajectory: generation 0 is the
-/// initial population. Wide enough for every backend (chromosomes as
-/// `u32`, 16-bit chromosomes zero-extended).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrajPoint {
-    /// Generation index (0 = initial population).
-    pub gen: u32,
-    /// Best chromosome of the population.
-    pub best_chrom: u32,
-    /// Its fitness.
-    pub best_fitness: u16,
-    /// Population fitness sum (drives the Table V convergence metric).
-    pub fit_sum: u32,
-}
-
 /// What a completed run reports back — the one shape every backend
 /// produces, so consumers (serve, bench, conformance) never see
 /// engine-specific result types.
@@ -315,8 +301,9 @@ pub struct RunOutcome {
     pub cycles: Option<u64>,
     /// RNG draws consumed, where the engine counts them.
     pub rng_draws: Option<u64>,
-    /// Per-generation history, generation 0 included.
-    pub trajectory: Vec<TrajPoint>,
+    /// Per-generation history, generation 0 included: the engine's own
+    /// record, moved here without a copy.
+    pub trajectory: Vec<GenStats>,
 }
 
 /// A GA execution backend. Object-safe: the registry stores

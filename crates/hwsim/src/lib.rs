@@ -21,11 +21,10 @@
 //! * [`mem`] — synchronous single-port RAM and ROM models with the
 //!   one-cycle read latency of FPGA block RAM (the paper's GA memory and
 //!   lookup-table fitness modules are both Virtex-II Pro block RAMs).
-//! * [`trace`] — a per-cycle signal trace recorder with CSV export, the
-//!   moral equivalent of the Chipscope Pro capture cores the paper used
-//!   to log `best fitness` and `sum of fitness` per generation.
-//! * [`vcd`] — a minimal VCD (value change dump) writer so traces can be
-//!   inspected in a waveform viewer.
+//! * [`vcd`] — a minimal VCD (value change dump) writer so signals can
+//!   be inspected in a waveform viewer. (The paper's Chipscope capture of
+//!   `best fitness` and `sum of fitness` per generation is the GA
+//!   system's run history, recorded by `ga-core`.)
 //!
 //! ## Two-phase discipline
 //!
@@ -68,7 +67,6 @@ pub mod monitor;
 pub mod reg;
 pub mod scoreboard;
 pub mod sim;
-pub mod trace;
 pub mod vcd;
 
 pub use fault::{BitFault, FaultClass, ScanBitOp};
@@ -78,5 +76,4 @@ pub use monitor::HandshakeMonitor;
 pub use reg::Reg;
 pub use scoreboard::Scoreboard;
 pub use sim::{Clocked, Deadline, Sim, SimError};
-pub use trace::{Trace, TraceSeries};
 pub use vcd::VcdWriter;

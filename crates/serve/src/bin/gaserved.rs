@@ -38,7 +38,7 @@ use std::fs;
 use std::io::Read as _;
 use std::process::ExitCode;
 
-use ga_serve::{jsonl, serve_batch, GaJob, JobResult, NetConfig, ServeConfig, Server};
+use ga_serve::{jsonl, serve_batch, GaJob, NetConfig, ServeConfig, Server};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -182,15 +182,13 @@ fn main() -> ExitCode {
     let outcome = serve_batch(&batch, &cfg);
 
     // Re-key batch-relative job ids back to input line numbers, merge
-    // with the parse-error lines, and emit in line order.
+    // with the parse-error lines, and emit in line order. Results are
+    // consumed one by one, so no run history is held twice.
+    let parse_failures = parse_errors.len();
     let mut lines: Vec<(usize, String)> = parse_errors;
-    for r in &outcome.results {
-        let line_no = jobs[r.job].0;
-        let rekeyed = JobResult {
-            job: line_no,
-            ..r.clone()
-        };
-        lines.push((line_no, jsonl::result_line(&rekeyed)));
+    for mut r in outcome.results {
+        r.job = jobs[r.job].0;
+        lines.push((r.job, jsonl::result_line(&r)));
     }
     lines.sort_by_key(|(line_no, _)| *line_no);
 
@@ -211,7 +209,7 @@ fn main() -> ExitCode {
         lines.len(),
         stats.jobs() - stats.errors(),
         stats.errors(),
-        lines.len() - outcome.results.len(),
+        parse_failures,
         stats.wall_seconds,
         stats.jobs_per_sec(),
         stats.threads_used,

@@ -44,8 +44,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use ga_bench::Stopwatch;
-
 use crate::job::{GaJob, JobResult, ServeError};
 use crate::jsonl;
 use crate::queue::{relock, BoundedQueue};
@@ -234,7 +232,7 @@ pub struct Server {
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<ServeStats>>,
-    sw: Stopwatch,
+    started: Instant,
     cache_before: (u64, u64),
     threads: usize,
 }
@@ -272,7 +270,7 @@ impl Server {
             addr: local,
             accept: Some(accept),
             workers,
-            sw: Stopwatch::start(),
+            started: Instant::now(),
             cache_before: ga_engine::global_cache().counters(),
             threads,
         })
@@ -323,7 +321,7 @@ impl Server {
             }
         }
         stats.threads_used = self.threads as u64;
-        stats.wall_seconds = self.sw.seconds();
+        stats.wall_seconds = self.started.elapsed().as_secs_f64();
         let (hits, misses) = ga_engine::global_cache().counters();
         stats.cache_hits = hits.saturating_sub(self.cache_before.0);
         stats.cache_misses = misses.saturating_sub(self.cache_before.1);

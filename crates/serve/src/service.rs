@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ga_bench::{default_threads, lane_chunks, run_sweep, BenchReport, Stopwatch};
+use ga_bench::{default_threads, run_sweep, BenchReport};
 use ga_engine::{BitSim64Engine, Engine};
 
 use crate::backend;
@@ -465,8 +465,8 @@ fn plan_units(jobs: &[GaJob]) -> Vec<Unit> {
         }
     }
     for (_, pack_width, members) in groups {
-        for chunk in lane_chunks(members.len(), pack_width) {
-            units.push(Unit::Pack(members[chunk].to_vec()));
+        for chunk in members.chunks(pack_width) {
+            units.push(Unit::Pack(chunk.to_vec()));
         }
     }
     units
@@ -582,7 +582,7 @@ pub(crate) fn exec_unit_with_recovery(
 /// spent inside pack units, and the batch's compiled-netlist cache
 /// hit/miss deltas are all recorded in the returned [`ServeStats`].
 pub fn serve_batch(jobs: &[GaJob], cfg: &ServeConfig) -> ServeOutcome {
-    let sw = Stopwatch::start();
+    let started = Instant::now();
     let (cache_hits_before, cache_misses_before) = ga_engine::global_cache().counters();
     let units = plan_units(jobs);
     let mut stats = ServeStats::default();
@@ -638,7 +638,7 @@ pub fn serve_batch(jobs: &[GaJob], cfg: &ServeConfig) -> ServeOutcome {
     let (cache_hits_after, cache_misses_after) = ga_engine::global_cache().counters();
     stats.cache_hits = cache_hits_after.saturating_sub(cache_hits_before);
     stats.cache_misses = cache_misses_after.saturating_sub(cache_misses_before);
-    stats.wall_seconds = sw.seconds();
+    stats.wall_seconds = started.elapsed().as_secs_f64();
     ServeOutcome { results, stats }
 }
 

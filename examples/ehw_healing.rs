@@ -66,6 +66,6 @@ fn main() {
     // Healing trajectory.
     println!("\ngen   best fitness");
     for s in run.history.iter().step_by(8) {
-        println!("{:>3} {:>8}", s.gen, s.best.fitness);
+        println!("{:>3} {:>8}", s.gen, s.best_fitness);
     }
 }

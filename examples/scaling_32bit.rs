@@ -53,6 +53,6 @@ fn main() {
 
     println!("\ngen   best fitness");
     for s in run.history.iter().step_by(8) {
-        println!("{:>3} {:>8}", s.gen, s.best.fitness);
+        println!("{:>3} {:>8}", s.gen, s.best_fitness);
     }
 }

@@ -23,7 +23,7 @@
 
 use carng::seeds::PRESET_SEEDS;
 use ga_core::scaling::GaEngine32;
-use ga_engine::{trajectory32, BackendKind, Limits, RunOutcome, RunSpec};
+use ga_engine::{BackendKind, Limits, RunOutcome, RunSpec};
 use ga_ip::prelude::*;
 use ga_serve::{serve_batch, GaJob, ServeConfig};
 use proptest::prelude::*;
@@ -136,8 +136,7 @@ fn rtl32_composite_matches_the_dual_core_model() {
             "rtl32 final best diverged from the dual-core model, seed {seed:#06x}"
         );
         assert_eq!(
-            got.trajectory,
-            trajectory32(&oracle.history),
+            got.trajectory, oracle.history,
             "rtl32 trajectory diverged, seed {seed:#06x}"
         );
     }
