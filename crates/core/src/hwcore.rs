@@ -16,7 +16,7 @@
 use hwsim::{AckSlave, Clocked, Reg};
 
 use crate::behavioral::Individual;
-use crate::memory::{pack, unpack, BANK0_BASE, BANK1_BASE};
+use crate::memory::{pack, unpack, GaMemory, BANK0_BASE, BANK1_BASE};
 use crate::ops;
 use crate::params::{GaParams, ParamIndex, PresetMode};
 use crate::ports::{GaCoreComb, GaCoreIn, GaCoreOut};
@@ -122,6 +122,23 @@ pub struct GaCoreHw {
     // profile for the speedup analysis.
     rng_draws: u64,
     profile: CyclesByPhase,
+}
+
+/// A whole selection scan planned by [`GaCoreHw::plan_scan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ScanSkip {
+    /// The selected member (the scan's final `scan_idx`).
+    pub(crate) member: u8,
+    /// The running sum before `member` (the scan's final `cum`).
+    pub(crate) cum: u32,
+}
+
+impl ScanSkip {
+    /// Clock cycles the scan takes: `SelScanAddr → SelScanWait →
+    /// SelScanData` for each member up to and including the hit.
+    pub(crate) fn cycles(&self) -> u64 {
+        3 * (self.member as u64 + 1)
+    }
 }
 
 /// Where the clock cycles go, by FSM phase (instrumentation; the
@@ -267,6 +284,68 @@ impl GaCoreHw {
     /// forced-max fitness wins the scan).
     pub fn is_sel_draw(&self) -> bool {
         self.state.get() == State::SelDraw
+    }
+
+    /// The selection-scan exit rule: member `member`, whose fitness
+    /// brings the running sum to `cum`, is selected when that sum
+    /// crosses the threshold or when it is the last member. Shared by
+    /// the per-cycle `SelScanData` state and [`GaCoreHw::plan_scan`].
+    /// `pop_size - 1` wraps like the synthesized 8-bit decrement, so a
+    /// scan-corrupted `pop_size` of 0 scans all 256 words.
+    #[inline]
+    fn scan_hit(&self, cum: u32, member: u8) -> bool {
+        ops::selection_hit(cum, self.threshold.get())
+            || member == self.pop_size.get().wrapping_sub(1)
+    }
+
+    /// Plan a whole selection scan in one step. `Some` only at the
+    /// first scan cycle (`SelScanAddr` of member 0) with no memory
+    /// write, fitness request or scan mode in flight, i.e. when the
+    /// next 3(k+1) cycles touch nothing but the scan registers and the
+    /// memory's read register. `fitness(j)` is the fitness the core will
+    /// read for member `j`; the hit member is found with the same rule
+    /// `SelScanData` applies, and the scan ends within 256 members.
+    pub(crate) fn plan_scan(&self, mut fitness: impl FnMut(u8) -> u16) -> Option<ScanSkip> {
+        if self.state.get() != State::SelScanAddr
+            || self.scan_idx.get() != 0
+            || self.mem_wr.get()
+            || self.fit_request.get()
+            || self.test_prev.get()
+        {
+            return None;
+        }
+        let mut cum = self.cum.get();
+        let mut member = 0u8;
+        loop {
+            let next = cum.wrapping_add(fitness(member) as u32);
+            if self.scan_hit(next, member) {
+                return Some(ScanSkip { member, cum });
+            }
+            cum = next;
+            member = member.wrapping_add(1);
+        }
+    }
+
+    /// Apply a planned scan: leave every register, and `mem`'s read
+    /// register, exactly as the per-cycle scan ending at `skip.member`
+    /// would, and charge its [`ScanSkip::cycles`] to the selection
+    /// profile. The caller counts the cycles on its clock.
+    pub(crate) fn skip_scan(&mut self, skip: ScanSkip, mem: &mut GaMemory) {
+        let addr = self.cur_base.get().wrapping_add(skip.member);
+        mem.settle_read(addr);
+        let chrom = unpack(mem.dout()).chrom;
+        self.cum.reset_to(skip.cum);
+        self.scan_idx.reset_to(skip.member);
+        self.mem_address.reset_to(addr);
+        if !self.sel_phase.get() {
+            self.parent1.reset_to(chrom);
+            self.sel_phase.reset_to(true);
+            self.state.reset_to(State::SelDraw);
+        } else {
+            self.parent2.reset_to(chrom);
+            self.state.reset_to(State::XoverDecide);
+        }
+        self.profile.selection += skip.cycles();
     }
 
     fn best_ind(&self) -> Individual {
@@ -485,8 +564,7 @@ impl GaCoreHw {
             State::SelScanData => {
                 let ind = unpack(i.mem_data_in);
                 let cum = self.cum.get().wrapping_add(ind.fitness as u32);
-                let last = self.scan_idx.get() == pop - 1;
-                if ops::selection_hit(cum, self.threshold.get()) || last {
+                if self.scan_hit(cum, self.scan_idx.get()) {
                     comb.sel_hit = true;
                     if !self.sel_phase.get() {
                         self.parent1.set(ind.chrom);

@@ -63,6 +63,19 @@ impl GaMemory {
         self.ram.dout()
     }
 
+    /// The word stored at `addr`, read without clocking the port.
+    #[inline]
+    pub fn word(&self, addr: u8) -> u32 {
+        self.ram.backdoor(addr)
+    }
+
+    /// Leave the read register as a run of port reads ending at `addr`
+    /// would: holding `word(addr)`.
+    pub fn settle_read(&mut self, addr: u8) {
+        self.ram.eval(addr, 0, false);
+        self.ram.commit();
+    }
+
     /// Testbench backdoor: read a whole population bank.
     pub fn backdoor_population(&self, base: u8, pop_size: u8) -> Vec<Individual> {
         (0..pop_size)

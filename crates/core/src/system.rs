@@ -16,7 +16,7 @@ use hwsim::{Clocked, HandshakeMonitor, Sim, SimError, VcdWriter};
 
 use crate::behavioral::{GenStats, Individual};
 use crate::hwcore::GaCoreHw;
-use crate::memory::GaMemory;
+use crate::memory::{unpack, GaMemory};
 use crate::params::GaParams;
 use crate::ports::GaCoreIn;
 use crate::rngmod::RngModule;
@@ -315,6 +315,34 @@ impl GaSystem {
         }
     }
 
+    /// Take a whole selection scan in one host step (DESIGN.md, "scan
+    /// skip"): at the scan's first cycle, find the hit member *k* in
+    /// the current bank and leave every module as the 3(*k*+1)
+    /// per-cycle `SelScan*` steps would. Only when nothing observes the
+    /// individual cycles (no VCD, protocol monitor or external FEM), the
+    /// FEM bank is idle, and the scan fits the `budget` cycles left
+    /// before the watchdog. Returns whether it was taken.
+    fn skip_scan(&mut self, budget: u64) -> bool {
+        let m = &mut self.modules;
+        if self.vcd.is_some() || self.monitor.is_some() || m.ext_fem.is_some() {
+            return false;
+        }
+        let base = m.core.current_bank_base();
+        let mem = &m.mem;
+        let Some(skip) = m
+            .core
+            .plan_scan(|j| unpack(mem.word(base.wrapping_add(j))).fitness)
+        else {
+            return false;
+        };
+        if skip.cycles() > budget || !m.fems.is_idle() {
+            return false;
+        }
+        m.core.skip_scan(skip, &mut m.mem);
+        self.sim.advance(skip.cycles());
+        true
+    }
+
     /// Program the parameter registers through the initialization
     /// handshake (§III-B.6, Table III), driven by the Fig. 4
     /// initialization-module FSM. Returns the cycles consumed.
@@ -414,29 +442,34 @@ impl GaSystem {
                     guard = self.sim.cycles() - start;
                     continue;
                 }
+            } else if self.skip_scan(max_cycles - guard) {
+                guard = self.sim.cycles() - start;
+                continue;
             }
             self.step(UserIn::default());
             guard = self.sim.cycles() - start;
         }
+        Ok((self.finish_run(start), injected))
+    }
+
+    /// The run that reached `GA_done`, started at cycle `start`.
+    fn finish_run(&mut self, start: u64) -> HwRun {
         let cycles = self.sim.cycles() - start;
         let best_fitness = self
             .history
             .last()
             .map(|s| s.best_fitness)
             .unwrap_or_default();
-        Ok((
-            HwRun {
-                best: Individual {
-                    chrom: self.modules.core.out().candidate,
-                    fitness: best_fitness,
-                },
-                cycles,
-                seconds: cycles as f64 * self.sim.period_ps() as f64 * 1e-12,
-                history: std::mem::take(&mut self.history),
-                rng_draws: self.modules.core.rng_draws(),
+        HwRun {
+            best: Individual {
+                chrom: self.modules.core.out().candidate,
+                fitness: best_fitness,
             },
-            injected,
-        ))
+            cycles,
+            seconds: cycles as f64 * self.sim.period_ps() as f64 * 1e-12,
+            history: std::mem::take(&mut self.history),
+            rng_draws: self.modules.core.rng_draws(),
+        }
     }
 
     /// Corrupt the core's architectural state **through the scan chain**
@@ -509,12 +542,220 @@ impl GaSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ga_fitness::{FemBank, FemSlot, LookupFem, TestFunction};
+    use ga_fitness::fem::FemOut;
+    use ga_fitness::{CordicFem, FemBank, FemSlot, LookupFem, TestFunction};
+    use proptest::prelude::*;
 
     fn system_for(f: TestFunction) -> GaSystem {
         GaSystem::new(FemBank::new(vec![FemSlot::Lookup(
             LookupFem::for_function(f),
         )]))
+    }
+
+    /// The per-cycle reference: `step()` from `start_GA` to `GA_done`
+    /// under `run`'s watchdog rule, never taking the scan skip.
+    fn stepped_run(sys: &mut GaSystem, max_cycles: u64) -> Result<HwRun, SimError> {
+        sys.history.clear();
+        let start = sys.sim.cycles();
+        sys.step(UserIn {
+            start_ga: true,
+            ..Default::default()
+        });
+        while !sys.modules.core.out().ga_done {
+            let guard = sys.sim.cycles() - start;
+            if guard >= max_cycles {
+                return Err(SimError::Timeout { cycles: guard });
+            }
+            sys.step(UserIn::default());
+        }
+        Ok(sys.finish_run(start))
+    }
+
+    /// Everything a run leaves behind: every core register (outputs,
+    /// `profile()` and `rng_draws()` included), both memory banks with
+    /// the read register, the RNG output, the bank's answer and the
+    /// clock.
+    fn end_state(sys: &GaSystem) -> (String, String, u16, FemOut, u64) {
+        let m = &sys.modules;
+        (
+            format!("{:?}", m.core),
+            format!("{:?}", m.mem),
+            m.rng.rn(),
+            m.fems.out(sys.fitfunc_select, 0, false),
+            sys.cycles(),
+        )
+    }
+
+    /// `run` (scan skip allowed) and the per-cycle reference, each on a
+    /// freshly built and programmed system, must agree on the result and
+    /// on every piece of state they leave.
+    fn assert_skip_exact(make: impl Fn() -> GaSystem, params: &GaParams, max_cycles: u64) {
+        let mut fast = make();
+        let mut slow = make();
+        fast.program(params);
+        slow.program(params);
+        let got = fast.run(max_cycles);
+        let want = stepped_run(&mut slow, max_cycles);
+        assert_eq!(got, want, "{params:?}, max_cycles {max_cycles}");
+        assert_eq!(fast.modules.core.profile(), slow.modules.core.profile());
+        assert_eq!(
+            end_state(&fast),
+            end_state(&slow),
+            "{params:?}, max_cycles {max_cycles}"
+        );
+    }
+
+    /// Program `sys` and step it to the first cycle of its first
+    /// selection scan.
+    fn step_to_scan_start(sys: &mut GaSystem, params: &GaParams) {
+        sys.program(params);
+        sys.step(UserIn {
+            start_ga: true,
+            ..Default::default()
+        });
+        while sys.modules.core.plan_scan(|_| 0).is_none() {
+            sys.step(UserIn::default());
+        }
+    }
+
+    #[test]
+    fn scan_skip_is_taken_only_when_nothing_watches_and_it_fits() {
+        let params = GaParams::new(32, 2, 10, 1, 0x2961);
+        let mut sys = system_for(TestFunction::F3);
+        step_to_scan_start(&mut sys, &params);
+        let m = &sys.modules;
+        let base = m.core.current_bank_base();
+        let skip = m
+            .core
+            .plan_scan(|j| unpack(m.mem.word(base.wrapping_add(j))).fitness)
+            .expect("at scan start");
+        assert!(!sys.skip_scan(skip.cycles() - 1), "must fit the watchdog");
+        sys.enable_protocol_monitor();
+        assert!(!sys.skip_scan(u64::MAX), "a monitor sees every cycle");
+        sys.monitor = None;
+        sys.start_vcd();
+        assert!(!sys.skip_scan(u64::MAX), "a waveform samples every cycle");
+        sys.vcd = None;
+        let before = sys.cycles();
+        assert!(sys.skip_scan(skip.cycles()));
+        assert_eq!(sys.cycles() - before, skip.cycles());
+        assert!(!sys.skip_scan(u64::MAX), "only at the scan's first cycle");
+
+        let mut ext = system_for(TestFunction::F3)
+            .with_external_fem(Box::new(LookupFem::for_function(TestFunction::F3)));
+        step_to_scan_start(&mut ext, &params);
+        assert!(!ext.skip_scan(u64::MAX), "an external FEM stays per-cycle");
+    }
+
+    #[test]
+    fn scan_skip_matches_stepping_on_the_fixed_grid() {
+        for f in [TestFunction::Bf6, TestFunction::F2] {
+            for pop in [2, 128] {
+                for (xt, mt) in [(0, 0), (15, 15)] {
+                    let params = GaParams::new(pop, 3, xt, mt, 0x2961);
+                    assert_skip_exact(|| system_for(f), &params, 100_000_000);
+                }
+            }
+        }
+        // All-zero fitness: no member crosses the zero threshold, so
+        // every scan ends on the `last` branch.
+        for pop in [2, 128] {
+            let params = GaParams::new(pop, 2, 10, 1, 0xB342);
+            assert_skip_exact(|| GaSystem::new(FemBank::new(vec![])), &params, 100_000_000);
+        }
+    }
+
+    #[test]
+    fn scan_skip_matches_stepping_with_cordic_and_a_fast_fem_clock() {
+        let params = GaParams::new(16, 3, 10, 1, 0x061F);
+        for f in [TestFunction::Bf6, TestFunction::MShubert2D] {
+            for ratio in [1, 4] {
+                let make = || {
+                    let mut sys =
+                        GaSystem::new(FemBank::new(vec![FemSlot::Cordic(CordicFem::new(f))]));
+                    sys.fast_domain_ratio = ratio;
+                    sys
+                };
+                assert_skip_exact(make, &params, 100_000_000);
+            }
+        }
+    }
+
+    #[test]
+    fn watchdog_mid_scan_times_out_exactly_as_stepping() {
+        // Every bound from 0 past the end: many land inside a scan.
+        let params = GaParams::new(4, 2, 10, 1, 0x2961);
+        let total = system_for(TestFunction::F3)
+            .program_and_run(&params, u64::MAX)
+            .unwrap()
+            .cycles;
+        for bound in 0..=total + 1 {
+            assert_skip_exact(|| system_for(TestFunction::F3), &params, bound);
+        }
+        // Pop 128: a window of bounds around mid-run covers every phase
+        // of a long scan, plus a spread of round figures.
+        let params = GaParams::new(128, 2, 10, 1, 0x2961);
+        let total = system_for(TestFunction::F2)
+            .program_and_run(&params, u64::MAX)
+            .unwrap()
+            .cycles;
+        let windows = (total / 2..total / 2 + 7).chain([100, 1000, 1234, 5001, 20_000]);
+        for bound in windows {
+            assert_skip_exact(|| system_for(TestFunction::F2), &params, bound);
+        }
+    }
+
+    #[test]
+    fn vcd_capture_keeps_every_cycle() {
+        // With a waveform attached the run steps every cycle: its VCD
+        // equals the per-cycle reference's, scan addresses included.
+        let params = GaParams::new(16, 2, 10, 1, 0x2961);
+        let mut fast = system_for(TestFunction::F3);
+        let mut slow = system_for(TestFunction::F3);
+        fast.program(&params);
+        slow.program(&params);
+        fast.start_vcd();
+        slow.start_vcd();
+        let got = fast.run(10_000_000).unwrap();
+        let want = stepped_run(&mut slow, 10_000_000).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(fast.finish_vcd(), slow.finish_vcd());
+    }
+
+    #[test]
+    fn a_zeroed_pop_size_does_not_panic_in_a_debug_build() {
+        // Force0 on chain position 19 (`pop_size` bit 3) turns pop 8 into
+        // pop 0; the scan's last-member compare wraps like the 8-bit
+        // decrement it models instead of overflowing.
+        let params = GaParams::new(8, 4, 10, 1, 0x2961);
+        let mut sys = system_for(TestFunction::F3);
+        sys.program(&params);
+        let op = hwsim::ScanBitOp {
+            position: 19,
+            kind: hwsim::BitFault::Force0,
+        };
+        let outcome = sys.run_with_faults(200_000, 300, &[op]);
+        if let Ok((_, injected)) = outcome {
+            assert!(injected);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn scan_skip_matches_stepping_on_random_parameters(
+            pop in 2u8..=128,
+            n_gens in 1u32..=3,
+            xt in 0u8..=15,
+            mt in 0u8..=15,
+            seed in 1u16..=u16::MAX,
+            func in 0usize..6,
+        ) {
+            let f = TestFunction::ALL[func];
+            let params = GaParams::new(pop, n_gens, xt, mt, seed);
+            assert_skip_exact(|| system_for(f), &params, 100_000_000);
+        }
     }
 
     #[test]

@@ -236,6 +236,40 @@ impl<F: FnMut(u32) -> u16> GaSystem32<F> {
         self.sim.step(&mut nop, |_| {});
     }
 
+    /// The joint scan skip (DESIGN.md, "scan skip"): both cores at
+    /// their scan's first cycle in the same cycle take the whole scan
+    /// in one host step. Core 1 finds the hit member *k* in its memory.
+    /// Core 2 reads what `scalingLogic_parSel` feeds it, fitness 0 until
+    /// core 1's hit and full scale on it, so with its forced zero
+    /// threshold it ends at the same *k* with `cum == 0`; if its plan
+    /// ends anywhere else, the cores step cycle by cycle instead. Only
+    /// with the shared FEM idle and the 3(*k*+1) cycles within the
+    /// `budget` left before the watchdog. Returns whether it was taken.
+    fn skip_scan(&mut self, budget: u64) -> bool {
+        if self.fem.state.get() != 0 {
+            return false;
+        }
+        let base1 = self.core1.current_bank_base();
+        let mem1 = &self.mem1;
+        let Some(skip1) = self
+            .core1
+            .plan_scan(|j| unpack(mem1.word(base1.wrapping_add(j))).fitness)
+        else {
+            return false;
+        };
+        let forced = |j: u8| if j == skip1.member { 0xFFFF } else { 0 };
+        let Some(skip2) = self.core2.plan_scan(forced) else {
+            return false;
+        };
+        if skip2.member != skip1.member || skip1.cycles() > budget {
+            return false;
+        }
+        self.core1.skip_scan(skip1, &mut self.mem1);
+        self.core2.skip_scan(skip2, &mut self.mem2);
+        self.sim.advance(skip1.cycles());
+        true
+    }
+
     /// Program both cores with the same parameters (the user programs
     /// one init bus; both cores listen — Fig. 6 shows a single
     /// initialization path).
@@ -302,19 +336,26 @@ impl<F: FnMut(u32) -> u16> GaSystem32<F> {
                     return Err(SimError::DeadlineExceeded { cycles: guard });
                 }
             }
-            self.step(UserIn::default());
+            if !self.skip_scan(max_cycles - guard) {
+                self.step(UserIn::default());
+            }
         }
+        Ok(self.finish_run())
+    }
+
+    /// The run both cores just finished.
+    fn finish_run(&mut self) -> GaRun32 {
         let chrom = ((self.core1.out().candidate as u32) << 16) | self.core2.out().candidate as u32;
         let fitness = self
             .history
             .last()
             .map(|s| s.best_fitness)
             .unwrap_or_default();
-        Ok(GaRun32 {
+        GaRun32 {
             best: Individual32 { chrom, fitness },
             history: std::mem::take(&mut self.history),
             evaluations: self.core1.programmed_params().evaluations_per_run(),
-        })
+        }
     }
 
     /// Program, then run.
@@ -349,6 +390,8 @@ mod tests {
     use super::*;
     use crate::scaling::GaEngine32;
     use carng::CaRng;
+    use ga_fitness::TestFunction;
+    use proptest::prelude::*;
 
     fn sum_halves(c: u32) -> u16 {
         (((c >> 16) + (c & 0xFFFF)) / 2) as u16
@@ -370,6 +413,134 @@ mod tests {
             .program_and_run(&params, 1_000_000_000)
             .expect("hardware run timed out");
         assert_eq!(run, sw);
+    }
+
+    /// The per-cycle reference: `step()` from `start_GA` until both
+    /// cores raise `GA_done`, under `run`'s watchdog rule, never taking
+    /// the joint scan skip.
+    fn stepped_run<F: FnMut(u32) -> u16>(
+        sys: &mut GaSystem32<F>,
+        max_cycles: u64,
+    ) -> Result<GaRun32, SimError> {
+        sys.history.clear();
+        let start = sys.sim.cycles();
+        sys.step(UserIn {
+            start_ga: true,
+            ..Default::default()
+        });
+        while !(sys.core1.out().ga_done && sys.core2.out().ga_done) {
+            let guard = sys.sim.cycles() - start;
+            if guard >= max_cycles {
+                return Err(SimError::Timeout { cycles: guard });
+            }
+            sys.step(UserIn::default());
+        }
+        Ok(sys.finish_run())
+    }
+
+    /// Everything a run leaves behind: both cores' registers (outputs,
+    /// `profile()` and `rng_draws()` included), both memories with their
+    /// read registers, both RNG outputs, the shared FEM and the clock.
+    fn end_state<F: FnMut(u32) -> u16>(sys: &GaSystem32<F>) -> (String, String, [u64; 6]) {
+        (
+            format!("{:?} {:?}", sys.core1, sys.core2),
+            format!("{:?} {:?}", sys.mem1, sys.mem2),
+            [
+                sys.rng1.rn().into(),
+                sys.rng2.rn().into(),
+                sys.fem.state.get().into(),
+                sys.fem.value.get().into(),
+                sys.fem.valid.get().into(),
+                sys.cycles(),
+            ],
+        )
+    }
+
+    /// `run` (joint scan skip allowed) and the per-cycle reference must
+    /// agree on the result and on every piece of state they leave.
+    fn assert_skip_exact(f: impl Fn(u32) -> u16 + Copy, params: &GaParams, max_cycles: u64) {
+        let mut fast = GaSystem32::new(f);
+        let mut slow = GaSystem32::new(f);
+        fast.program(params);
+        slow.program(params);
+        let got = fast.run(max_cycles);
+        let want = stepped_run(&mut slow, max_cycles);
+        assert_eq!(got, want, "{params:?}, max_cycles {max_cycles}");
+        assert_eq!(fast.core1.profile(), slow.core1.profile());
+        assert_eq!(fast.core2.profile(), slow.core2.profile());
+        assert_eq!(fast.core1.rng_draws(), slow.core1.rng_draws());
+        assert_eq!(
+            end_state(&fast),
+            end_state(&slow),
+            "{params:?}, max_cycles {max_cycles}"
+        );
+    }
+
+    #[test]
+    fn joint_scan_skip_is_taken() {
+        let params = GaParams::new(32, 2, 10, 1, 0x2961);
+        let mut sys = GaSystem32::new(sum_halves);
+        sys.program(&params);
+        sys.step(UserIn {
+            start_ga: true,
+            ..Default::default()
+        });
+        while sys.core1.plan_scan(|_| 0).is_none() {
+            sys.step(UserIn::default());
+        }
+        assert!(sys.core2.plan_scan(|_| 0).is_some(), "cores in lockstep");
+        let before = sys.cycles();
+        assert!(!sys.skip_scan(2), "must fit the watchdog");
+        assert!(sys.skip_scan(u64::MAX));
+        assert!(sys.cycles() - before >= 3);
+        assert!(!sys.skip_scan(u64::MAX), "only at the scan's first cycle");
+    }
+
+    #[test]
+    fn joint_scan_skip_matches_stepping_on_the_fixed_grid() {
+        let f2 = |c: u32| TestFunction::F2.eval_u32_split(c);
+        for pop in [2, 128] {
+            for (xt, mt) in [(0, 0), (15, 15)] {
+                assert_skip_exact(f2, &GaParams::new(pop, 3, xt, mt, 0x2961), 100_000_000);
+            }
+            // All-zero fitness: every scan ends on the `last` branch.
+            assert_skip_exact(|_| 0, &GaParams::new(pop, 2, 10, 1, 0xB342), 100_000_000);
+        }
+    }
+
+    #[test]
+    fn watchdog_mid_scan_times_out_exactly_as_stepping() {
+        let params = GaParams::new(4, 2, 10, 1, 0x2961);
+        let mut probe = GaSystem32::new(sum_halves);
+        probe.program(&params);
+        let start = probe.cycles();
+        probe.run(u64::MAX).unwrap();
+        let total = probe.cycles() - start;
+        for bound in 0..=total + 1 {
+            assert_skip_exact(sum_halves, &params, bound);
+        }
+        let params = GaParams::new(128, 2, 10, 1, 0x2961);
+        for bound in (30_000..30_007).chain([100, 1000, 1234, 5001, 20_000]) {
+            assert_skip_exact(minimax, &params, bound);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn joint_scan_skip_matches_stepping_on_random_parameters(
+            pop in 2u8..=128,
+            n_gens in 1u32..=3,
+            xt in 0u8..=15,
+            mt in 0u8..=15,
+            seed in 1u16..=u16::MAX,
+            func in 0usize..6,
+        ) {
+            let f = TestFunction::ALL[func];
+            let params = GaParams::new(pop, n_gens, xt, mt, seed);
+            assert_skip_exact(move |c| f.eval_u32_split(c), &params, 100_000_000);
+        }
     }
 
     #[test]

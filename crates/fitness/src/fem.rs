@@ -506,6 +506,20 @@ impl FemBank {
         }
     }
 
+    /// True when no slot has a transaction in flight: every internal
+    /// FEM is in its idle state and neither the external request nor
+    /// the empty-slot strobe is raised. An idle bank evaluated with the
+    /// request low stays exactly as it is, whatever the select.
+    pub fn is_idle(&self) -> bool {
+        !self.ext_request.get()
+            && !self.empty_valid.get()
+            && self.slots.iter().all(|slot| match slot {
+                FemSlot::Lookup(f) => f.state.get() == LookupState::Idle,
+                FemSlot::Cordic(f) => f.state.get() == CordicState::Idle,
+                FemSlot::External | FemSlot::Empty => true,
+            })
+    }
+
     /// Registered outputs, multiplexed by the current select value.
     pub fn out(&self, select: u8, ext_value: u16, ext_valid: bool) -> FemOut {
         let sel = (select & 0x7) as usize;
@@ -719,6 +733,41 @@ mod tests {
         let o = bank.out(5, 0, false);
         assert!(o.fit_valid);
         assert_eq!(o.fit_value, 0);
+    }
+
+    #[test]
+    fn bank_is_idle_only_between_transactions() {
+        let mut bank = FemBank::new(vec![
+            FemSlot::Lookup(LookupFem::for_function(TestFunction::F2)),
+            FemSlot::Cordic(CordicFem::new(TestFunction::Bf6)),
+            FemSlot::External,
+        ]);
+        bank.reset();
+        assert!(bank.is_idle());
+        for select in 0..4u8 {
+            let request = FemBankIn {
+                fit_request: true,
+                candidate: 0x1234,
+                select,
+                ..Default::default()
+            };
+            bank.eval(request);
+            bank.commit();
+            assert!(!bank.is_idle(), "slot {select} busy after a request");
+            // Drop the request: the CORDIC slot stays busy until its
+            // iterations end, the others drain at once.
+            let mut drain = 0;
+            while !bank.is_idle() {
+                bank.eval(FemBankIn {
+                    select,
+                    ..Default::default()
+                });
+                bank.commit();
+                drain += 1;
+                assert!(drain < 100, "slot {select} never drained");
+            }
+            assert_eq!(select == 1, drain > 2, "slot {select}: {drain} cycles");
+        }
     }
 
     #[test]

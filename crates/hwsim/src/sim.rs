@@ -220,6 +220,13 @@ impl Sim {
         self.cycle += 1;
     }
 
+    /// Count `cycles` clock cycles whose effect the owner has applied to
+    /// its modules in one step (an exact shortcut over a stretch of
+    /// cycles whose outcome it can compute directly).
+    pub fn advance(&mut self, cycles: u64) {
+        self.cycle += cycles;
+    }
+
     /// Run until `done(system)` returns true, with a watchdog.
     ///
     /// `eval` is the per-cycle evaluation phase. The condition is checked
