@@ -209,19 +209,21 @@ for backend in behavioral swga bitsim64 rtl rtl32; do
         || { echo "$backend: unexpected answer at the bound"; cat "$SMOKE_DIR/bound.jsonl"; exit 1; }
 done
 
-echo "== gaserved: rtl and rtl32 answers stay exact under the selection-scan skip"
-# rtl and rtl32 take each whole selection scan in one host step and
-# charge its 3(k+1) cycles, so cycle counts must not move. Four jobs
-# answer exactly as the per-cycle model did: pop 128 x 64 generations,
-# and pop 128 x 16383 generations (2 080 769 evaluations, just under
-# ga_engine::MAX_EVALUATIONS) under a 20 s deadline. Stepping every
-# cycle took about 30 s for each near-bound job, which would come back
-# as deadline_exceeded; with the skip each takes about 3 s.
+echo "== gaserved: rtl and rtl32 answers stay exact under the scan and pair skip"
+# rtl and rtl32 take each breeding pair (two selections, crossover,
+# mutations, fitness handshakes, stores) in one host step and charge its
+# cycles, so cycle counts must not move. Four jobs answer exactly as the
+# per-cycle model did: pop 128 x 64 generations, and pop 128 x 16383
+# generations (2 080 769 evaluations, just under
+# ga_engine::MAX_EVALUATIONS) under a 1.5 s deadline. Stepping every
+# cycle took about 30 s for each near-bound job and skipping only the
+# scans 2.1-2.6 s, either of which comes back as deadline_exceeded; with
+# the pair skip each takes 0.3-0.45 s.
 for job in \
     'rtl|{"fn":"BF6","backend":"rtl","pop":128,"gens":64,"xover":10,"mut":1,"seed":7}|"best_chrom":65163,"best_fitness":4258,"generations":64,"evaluations":8256,"conv_gen":1,"cycles":1666679' \
     'rtl32|{"fn":"BF6","backend":"rtl32","width":32,"pop":128,"gens":64,"xover":10,"mut":1,"seed":7}|"best_chrom":4140040133,"best_fitness":4228,"generations":64,"evaluations":8256,"conv_gen":1,"cycles":1671137' \
-    'rtl|{"fn":"F2","backend":"rtl","pop":128,"gens":16383,"xover":10,"mut":1,"seed":7,"deadline_ms":20000}|"best_chrom":65280,"best_fitness":3060,"generations":16383,"evaluations":2080769,"conv_gen":5,"cycles":431780252' \
-    'rtl32|{"fn":"F2","backend":"rtl32","width":32,"pop":128,"gens":16383,"xover":10,"mut":1,"seed":7,"deadline_ms":20000}|"best_chrom":4278255360,"best_fitness":3060,"generations":16383,"evaluations":2080769,"conv_gen":5,"cycles":431706698'; do
+    'rtl|{"fn":"F2","backend":"rtl","pop":128,"gens":16383,"xover":10,"mut":1,"seed":7,"deadline_ms":1500}|"best_chrom":65280,"best_fitness":3060,"generations":16383,"evaluations":2080769,"conv_gen":5,"cycles":431780252' \
+    'rtl32|{"fn":"F2","backend":"rtl32","width":32,"pop":128,"gens":16383,"xover":10,"mut":1,"seed":7,"deadline_ms":1500}|"best_chrom":4278255360,"best_fitness":3060,"generations":16383,"evaluations":2080769,"conv_gen":5,"cycles":431706698'; do
     IFS='|' read -r backend line expect <<< "$job"
     echo "$line" | GA_BENCH_OUT="$SMOKE_DIR" ./target/release/gaserved \
         --input /dev/stdin --out "$SMOKE_DIR/scan_skip.jsonl" 2> /dev/null

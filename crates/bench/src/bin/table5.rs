@@ -5,15 +5,16 @@
 //!
 //! The ten runs go through the shared parallel sweep runner (each is an
 //! independent simulated FPGA run) and the binary emits
-//! `BENCH_table5.json` with the wall time and simulated-cycle
-//! throughput. `GA_BENCH_GENS` overrides the generation count (the CI
-//! smoke run uses a short one).
+//! `BENCH_table5.json` with the wall time, the simulated cycles, the
+//! cycles the system stepped one by one (the rest it skips exactly) and
+//! the wall time per stepped cycle. `GA_BENCH_GENS` overrides the
+//! generation count (the CI smoke run uses a short one).
 //!
 //! Run with `cargo run --release -p ga-bench --bin table5`.
 
 use ga_bench::{
-    default_threads, gens_override, run_hw, run_sweep, table5_params, BenchReport, Stopwatch,
-    TABLE5_RUNS,
+    default_threads, gens_override, run_hw_counted, run_sweep, table5_params, BenchReport,
+    Stopwatch, TABLE5_RUNS,
 };
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
         if let Some(g) = gens_override() {
             params.n_gens = g;
         }
-        run_hw(row.function, &params)
+        run_hw_counted(row.function, &params)
     });
     let wall = sw.seconds();
 
@@ -39,7 +40,7 @@ fn main() {
     ];
     println!("{}", "-".repeat(84));
     let mut sim_cycles: u64 = 0;
-    for ((row, paper), run) in TABLE5_RUNS.iter().zip(paper_best).zip(&results) {
+    for ((row, paper), (run, _)) in TABLE5_RUNS.iter().zip(paper_best).zip(&results) {
         sim_cycles += run.cycles.unwrap_or(0);
         let conv = run
             .conv_gen
@@ -63,9 +64,14 @@ fn main() {
     println!("values differ while the qualitative shape (optimum found only under");
     println!("some settings; seed choice decisive) reproduces. See EXPERIMENTS.md.");
 
-    BenchReport::new("table5", wall, 1, threads as u64)
+    let stepped: Option<u64> = results.iter().map(|(_, stepped)| *stepped).sum();
+    let mut report = BenchReport::new("table5", wall, 1, threads as u64)
         .metric("runs", results.len() as f64)
-        .metric("sim_cycles", sim_cycles as f64)
-        .metric("sim_cycles_per_sec", sim_cycles as f64 / wall)
-        .emit_or_warn();
+        .metric("sim_cycles", sim_cycles as f64);
+    if let Some(stepped) = stepped {
+        report = report
+            .metric("stepped_cycles", stepped as f64)
+            .metric("host_ns_per_stepped_cycle", wall * 1e9 / stepped as f64);
+    }
+    report.emit_or_warn();
 }

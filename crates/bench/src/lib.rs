@@ -194,6 +194,28 @@ pub fn run_hw(f: TestFunction, params: &GaParams) -> RunOutcome {
     run_on(bench_backend(BackendKind::RtlInterp), f, params)
 }
 
+/// [`run_hw`], also returning how many of the run's cycles the RTL
+/// system stepped one by one (the rest it skipped exactly); `None` when
+/// `GA_BENCH_BACKEND` reroutes the sweep off `rtl`.
+pub fn run_hw_counted(f: TestFunction, params: &GaParams) -> (RunOutcome, Option<u64>) {
+    let kind = bench_backend(BackendKind::RtlInterp);
+    if kind != BackendKind::RtlInterp {
+        return (run_on(kind, f, params), None);
+    }
+    let engine = ga_engine::RtlInterpEngine;
+    let spec = ga_engine::RunSpec {
+        width: 16,
+        workload: ga_engine::Workload::Function(f),
+        params: *params,
+        deadline_ms: None,
+    };
+    let prepared = ga_engine::Engine::prepare(&engine, spec).expect("bench spec admitted");
+    let (outcome, stepped) = engine
+        .run_counting_steps(&prepared, &ga_engine::Limits::default())
+        .expect("bench run completed");
+    (outcome, Some(stepped))
+}
+
 /// Table V parameters for a row.
 pub fn table5_params(row: &Table5Row) -> GaParams {
     GaParams::new(row.pop, 32, row.xover, 1, row.seed)

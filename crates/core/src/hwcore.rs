@@ -20,6 +20,7 @@ use crate::memory::{pack, unpack, GaMemory, BANK0_BASE, BANK1_BASE};
 use crate::ops;
 use crate::params::{GaParams, ParamIndex, PresetMode};
 use crate::ports::{GaCoreComb, GaCoreIn, GaCoreOut};
+use crate::rngmod::RngModule;
 
 /// FSM states. The sub-phase registers `sel_phase` (parent 1/2) and
 /// `off_phase` (offspring 1/2) keep the state count at the level the
@@ -124,21 +125,88 @@ pub struct GaCoreHw {
     profile: CyclesByPhase,
 }
 
-/// A whole selection scan planned by [`GaCoreHw::plan_scan`].
+/// A whole selection planned from the scan's first cycle (the scan
+/// alone) or from `SelDraw` (the threshold draw, the multiplier wait
+/// and the scan).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ScanSkip {
     /// The selected member (the scan's final `scan_idx`).
     pub(crate) member: u8,
     /// The running sum before `member` (the scan's final `cum`).
     pub(crate) cum: u32,
+    /// The threshold the scan compares against.
+    threshold: u32,
+    /// Whether the plan starts at `SelDraw` and so consumes a draw.
+    draw: bool,
 }
 
 impl ScanSkip {
-    /// Clock cycles the scan takes: `SelScanAddr → SelScanWait →
-    /// SelScanData` for each member up to and including the hit.
+    /// `SelDraw` and the four `SelMulWait` cycles of the sequential
+    /// multiplier.
+    const DRAW_CYCLES: u64 = 5;
+
+    /// Clock cycles the selection takes: `SelScanAddr → SelScanWait →
+    /// SelScanData` for each member up to and including the hit, after
+    /// [`ScanSkip::DRAW_CYCLES`] when it starts at `SelDraw`.
     pub(crate) fn cycles(&self) -> u64 {
-        3 * (self.member as u64 + 1)
+        3 * (self.member as u64 + 1) + if self.draw { Self::DRAW_CYCLES } else { 0 }
     }
+}
+
+/// Running fitness sums of the bank the selections read
+/// ([`ops::prefix_sums`]), kept between selections and rebuilt when the
+/// bank changes: once a generation, as the new population is written
+/// to the other bank.
+#[derive(Debug, Default)]
+pub(crate) struct BankSums {
+    /// The bank base, population size and writes into the bank's half
+    /// the sums were built for.
+    key: Option<(u8, u8, u64)>,
+    sums: Vec<u32>,
+}
+
+impl BankSums {
+    /// The running sums of `core`'s current bank in `mem`, if the bank
+    /// is one 128-word half (the two population banks) and no write is
+    /// staged into it.
+    fn of(&mut self, core: &GaCoreHw, mem: &GaMemory) -> Option<&[u32]> {
+        let (base, pop) = (core.cur_base.get(), core.pop_size.get());
+        let staged = core.mem_wr.get() && core.mem_address.get() >> 7 == base >> 7;
+        if base & 0x7F != 0 || !(1..=128).contains(&pop) || staged {
+            return None;
+        }
+        let key = (base, pop, mem.writes_into_half(base));
+        if self.key != Some(key) {
+            let fitness = (0..pop).map(|j| unpack(mem.word(base + j)).fitness);
+            ops::prefix_sums(fitness, &mut self.sums);
+            self.key = Some(key);
+        }
+        Some(&self.sums)
+    }
+}
+
+/// A stretch of the breeding loop that [`GaCoreHw`] takes in one host
+/// step (DESIGN.md, "Scan and pair skip"). Each leg starts and ends on
+/// a state boundary, so a run may stop between any two legs and go on
+/// cycle by cycle. Over a leg the core's fitness request and candidate
+/// do not change, so the FEM sees one input for all of its cycles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Leg {
+    /// A selection: from `SelDraw` or from the scan's first cycle
+    /// ([`ScanSkip::cycles`]).
+    Select,
+    /// `XoverDecide` (if there), `MutDecide` and `OffFitReq`: this many
+    /// cycles, one draw per decision.
+    Breed(u64),
+    /// `OffFitWait`: one cycle per look at the FEM's answer.
+    Wait,
+    /// `OffStore` and `OffUpdate`: [`Leg::STORE_CYCLES`] cycles.
+    Store,
+}
+
+impl Leg {
+    /// Cycles of [`Leg::Store`].
+    pub(crate) const STORE_CYCLES: u64 = 2;
 }
 
 /// Where the clock cycles go, by FSM phase (instrumentation; the
@@ -286,16 +354,21 @@ impl GaCoreHw {
         self.state.get() == State::SelDraw
     }
 
+    /// True at the first cycle of a breeding pair: `SelDraw` for
+    /// parent 1.
+    pub(crate) fn at_pair_start(&self) -> bool {
+        self.state.get() == State::SelDraw && !self.sel_phase.get()
+    }
+
     /// The selection-scan exit rule: member `member`, whose fitness
     /// brings the running sum to `cum`, is selected when that sum
-    /// crosses the threshold or when it is the last member. Shared by
-    /// the per-cycle `SelScanData` state and [`GaCoreHw::plan_scan`].
-    /// `pop_size - 1` wraps like the synthesized 8-bit decrement, so a
-    /// scan-corrupted `pop_size` of 0 scans all 256 words.
+    /// crosses `threshold` or when it is the last member. Shared by the
+    /// per-cycle `SelScanData` state and the scan plans. `pop_size - 1`
+    /// wraps like the synthesized 8-bit decrement, so a scan-corrupted
+    /// `pop_size` of 0 scans all 256 words.
     #[inline]
-    fn scan_hit(&self, cum: u32, member: u8) -> bool {
-        ops::selection_hit(cum, self.threshold.get())
-            || member == self.pop_size.get().wrapping_sub(1)
+    fn scan_hit(&self, cum: u32, threshold: u32, member: u8) -> bool {
+        ops::selection_hit(cum, threshold) || member == self.pop_size.get().wrapping_sub(1)
     }
 
     /// Plan a whole selection scan in one step. `Some` only at the
@@ -305,7 +378,7 @@ impl GaCoreHw {
     /// memory's read register. `fitness(j)` is the fitness the core will
     /// read for member `j`; the hit member is found with the same rule
     /// `SelScanData` applies, and the scan ends within 256 members.
-    pub(crate) fn plan_scan(&self, mut fitness: impl FnMut(u8) -> u16) -> Option<ScanSkip> {
+    pub(crate) fn plan_scan(&self, fitness: impl FnMut(u8) -> u16) -> Option<ScanSkip> {
         if self.state.get() != State::SelScanAddr
             || self.scan_idx.get() != 0
             || self.mem_wr.get()
@@ -314,23 +387,93 @@ impl GaCoreHw {
         {
             return None;
         }
-        let mut cum = self.cum.get();
+        Some(self.scan(self.threshold.get(), self.cum.get(), false, fitness))
+    }
+
+    /// Plan a whole selection from `SelDraw`: the threshold from the
+    /// draw `rn` the core sees this cycle, the multiplier wait and the
+    /// scan, as [`GaCoreHw::plan_scan`] plans it. `Some` only at
+    /// `SelDraw` with no fitness request or scan mode in flight.
+    pub(crate) fn plan_select(&self, rn: u16, fitness: impl FnMut(u8) -> u16) -> Option<ScanSkip> {
+        let threshold = self.select_threshold(rn)?;
+        Some(self.scan(threshold, 0, true, fitness))
+    }
+
+    /// Plan the [`Leg::Select`] from here over the current bank in
+    /// `mem`. From `SelDraw` it goes through the bank's running `sums`
+    /// where they hold: sums of at most 128 16-bit fitness values cannot
+    /// wrap, so the member [`ops::select_index`] picks is the one the
+    /// scan stops at, and the sum before it is the scan's final `cum`.
+    /// From the scan's first cycle, or where the sums do not hold, it
+    /// walks the bank member by member.
+    pub(crate) fn plan_selection(
+        &self,
+        rn: u16,
+        mem: &GaMemory,
+        sums: &mut BankSums,
+    ) -> Option<ScanSkip> {
+        let base = self.cur_base.get();
+        let fitness = |j: u8| unpack(self.word_seen(mem, base.wrapping_add(j))).fitness;
+        let Some(threshold) = self.select_threshold(rn) else {
+            return self.plan_scan(fitness);
+        };
+        let Some(sums) = sums.of(self, mem) else {
+            return Some(self.scan(threshold, 0, true, fitness));
+        };
+        let member = ops::select_index(sums, threshold);
+        Some(ScanSkip {
+            member: member as u8,
+            cum: member.checked_sub(1).map_or(0, |j| sums[j]),
+            threshold,
+            draw: true,
+        })
+    }
+
+    /// `SelDraw`'s threshold on draw `rn`, if the core is there with no
+    /// fitness request or scan mode in flight.
+    fn select_threshold(&self, rn: u16) -> Option<u32> {
+        if self.state.get() != State::SelDraw || self.fit_request.get() || self.test_prev.get() {
+            return None;
+        }
+        Some(ops::selection_threshold(self.fit_sum.get(), rn))
+    }
+
+    fn scan(
+        &self,
+        threshold: u32,
+        mut cum: u32,
+        draw: bool,
+        mut fitness: impl FnMut(u8) -> u16,
+    ) -> ScanSkip {
         let mut member = 0u8;
         loop {
             let next = cum.wrapping_add(fitness(member) as u32);
-            if self.scan_hit(next, member) {
-                return Some(ScanSkip { member, cum });
+            if self.scan_hit(next, threshold, member) {
+                return ScanSkip {
+                    member,
+                    cum,
+                    threshold,
+                    draw,
+                };
             }
             cum = next;
             member = member.wrapping_add(1);
         }
     }
 
-    /// Apply a planned scan: leave every register, and `mem`'s read
-    /// register, exactly as the per-cycle scan ending at `skip.member`
-    /// would, and charge its [`ScanSkip::cycles`] to the selection
-    /// profile. The caller counts the cycles on its clock.
-    pub(crate) fn skip_scan(&mut self, skip: ScanSkip, mem: &mut GaMemory) {
+    /// Apply a planned selection: leave every register, `mem` and `rng`
+    /// exactly as the per-cycle states ending at `skip.member` would,
+    /// and charge its [`ScanSkip::cycles`] to the selection profile. The
+    /// caller counts the cycles on its clock, as for every leg.
+    pub(crate) fn skip_scan(&mut self, skip: ScanSkip, mem: &mut GaMemory, rng: &mut RngModule) {
+        self.drive_mem(mem);
+        if skip.draw {
+            rng.consume();
+            self.rng_draws += 1;
+            self.mult_cnt.reset_to(0);
+        }
+        self.threshold.reset_to(skip.threshold);
+        self.mem_wr.reset_to(false);
         let addr = self.cur_base.get().wrapping_add(skip.member);
         mem.settle_read(addr);
         let chrom = unpack(mem.dout()).chrom;
@@ -346,6 +489,181 @@ impl GaCoreHw {
             self.state.reset_to(State::XoverDecide);
         }
         self.profile.selection += skip.cycles();
+    }
+
+    /// The leg the core can take in one host step from here, if any.
+    /// None in scan mode, with a write on the memory port anywhere but
+    /// `SelDraw` (after `ElitWrite`), or with the fitness request in any
+    /// state but `OffFitWait` or dropped there.
+    pub(crate) fn leg(&self) -> Option<Leg> {
+        let state = self.state.get();
+        if self.test_prev.get()
+            || self.fit_request.get() != (state == State::OffFitWait)
+            || (self.mem_wr.get() && state != State::SelDraw)
+        {
+            return None;
+        }
+        match state {
+            State::SelDraw => Some(Leg::Select),
+            State::SelScanAddr if self.scan_idx.get() == 0 => Some(Leg::Select),
+            State::XoverDecide => Some(Leg::Breed(3)),
+            State::MutDecide => Some(Leg::Breed(2)),
+            State::OffFitWait => Some(Leg::Wait),
+            State::OffStore => Some(Leg::Store),
+            _ => None,
+        }
+    }
+
+    /// The word at `addr` as `mem` holds it after the next cycle, whose
+    /// port operation may be a write the core has staged (the elite's,
+    /// at the first `SelDraw` of a generation). Scan plans read this.
+    fn word_seen(&self, mem: &GaMemory, addr: u8) -> u32 {
+        if self.mem_wr.get() && self.mem_address.get() == addr {
+            self.mem_data_out.get()
+        } else {
+            mem.word(addr)
+        }
+    }
+
+    /// A leg's first cycle on the memory port: the registered address,
+    /// data and write strobe. In the leg's later cycles the port reads
+    /// the address the states set, or writes in `OffUpdate`.
+    fn drive_mem(&self, mem: &mut GaMemory) {
+        mem.eval(
+            self.mem_address.get(),
+            self.mem_data_out.get(),
+            self.mem_wr.get(),
+        );
+        mem.commit();
+    }
+
+    /// Take a [`Leg::Breed`]: crossover (from `XoverDecide`), mutation of
+    /// the offspring in work and its fitness request, each decision on
+    /// a fresh draw from `rng`.
+    pub(crate) fn skip_breed(&mut self, rng: &mut RngModule, mem: &mut GaMemory) {
+        self.drive_mem(mem);
+        if self.state.get() == State::XoverDecide {
+            let (o1, o2) = self.crossover_on(rng.consume());
+            self.off1.reset_to(o1);
+            self.off2.reset_to(o2);
+            self.off_phase.reset_to(false);
+            self.rng_draws += 1;
+            self.profile.breeding += 1;
+        }
+        if let Some(o) = self.mutation_on(rng.consume()) {
+            if self.off_phase.get() {
+                self.off2.reset_to(o);
+            } else {
+                self.off1.reset_to(o);
+            }
+        }
+        self.rng_draws += 1;
+        self.profile.breeding += 1;
+        self.cand.reset_to(self.offspring());
+        self.fit_request.reset_to(true);
+        self.state.reset_to(State::OffFitWait);
+        self.profile.fitness_wait += 1;
+    }
+
+    /// Take `cycles` cycles of [`Leg::Wait`]; `answer` is the fitness
+    /// the core saw valid on the last of them, if it did.
+    pub(crate) fn skip_wait(&mut self, cycles: u64, answer: Option<u16>, mem: &mut GaMemory) {
+        if cycles == 0 {
+            return;
+        }
+        self.drive_mem(mem);
+        self.profile.fitness_wait += cycles;
+        if let Some(value) = answer {
+            self.fit_reg.reset_to(value);
+            self.fit_request.reset_to(false);
+            self.state.reset_to(State::OffStore);
+        }
+    }
+
+    /// Take a [`Leg::Store`]: `OffStore` stages the offspring's word, the
+    /// port writes it to `mem` in `OffUpdate`, which updates the new
+    /// population's sum, best and fill index.
+    pub(crate) fn skip_store(&mut self, mem: &mut GaMemory) {
+        self.drive_mem(mem);
+        let addr = self.new_base.get().wrapping_add(self.idx.get());
+        let word = pack(Individual {
+            chrom: self.cand.get(),
+            fitness: self.fit_reg.get(),
+        });
+        self.mem_address.reset_to(addr);
+        self.mem_data_out.reset_to(word);
+        mem.eval(addr, word, true);
+        mem.commit();
+        let f = self.fit_reg.get();
+        self.new_sum
+            .reset_to(self.new_sum.get().wrapping_add(f as u32));
+        if let Some(best) = self.new_best_after(f) {
+            self.new_best.reset_to(best);
+        }
+        let (ni, next) = self.after_update();
+        self.idx.reset_to(ni);
+        match next {
+            State::MutDecide => self.off_phase.reset_to(true),
+            State::SelDraw => self.sel_phase.reset_to(false),
+            _ => {}
+        }
+        self.state.reset_to(next);
+        self.mem_wr.reset_to(false);
+        self.profile.store += Leg::STORE_CYCLES;
+    }
+
+    /// `XoverDecide`'s datapath on draw `rn`: the two offspring.
+    fn crossover_on(&self, rn: u16) -> (u16, u16) {
+        // One draw carries both fields (§III-B.7 "predefined
+        // positions"; ops::xover_fields documents why).
+        let (xd, cut) = ops::xover_fields(rn);
+        let (p1, p2) = (self.parent1.get(), self.parent2.get());
+        if ops::decision(xd, self.xover_threshold.get()) {
+            ops::crossover(p1, p2, cut)
+        } else {
+            (p1, p2)
+        }
+    }
+
+    /// The offspring in work (`off_phase`).
+    fn offspring(&self) -> u16 {
+        if self.off_phase.get() {
+            self.off2.get()
+        } else {
+            self.off1.get()
+        }
+    }
+
+    /// `MutDecide`'s datapath on draw `rn`: the mutated offspring in
+    /// work, if the decision fires. The register is written only then,
+    /// so a value a scan-chain unload stages in the same cycle stands.
+    fn mutation_on(&self, rn: u16) -> Option<u16> {
+        let (md, point) = ops::mut_fields(rn);
+        ops::decision(md, self.mut_threshold.get()).then(|| ops::mutate(self.offspring(), point))
+    }
+
+    /// `OffUpdate`'s new best (packed), if an offspring of fitness `f`
+    /// beats it (written only then, as for [`GaCoreHw::mutation_on`]).
+    fn new_best_after(&self, f: u16) -> Option<u32> {
+        (f > self.new_best_ind().fitness).then(|| {
+            pack(Individual {
+                chrom: self.cand.get(),
+                fitness: f,
+            })
+        })
+    }
+
+    /// `OffUpdate`'s fill index and the state that follows it.
+    fn after_update(&self) -> (u8, State) {
+        let ni = self.idx.get().wrapping_add(1);
+        let next = if ni == self.pop_size.get() {
+            State::GenEnd
+        } else if !self.off_phase.get() {
+            State::MutDecide
+        } else {
+            State::SelDraw
+        };
+        (ni, next)
     }
 
     fn best_ind(&self) -> Individual {
@@ -564,7 +882,7 @@ impl GaCoreHw {
             State::SelScanData => {
                 let ind = unpack(i.mem_data_in);
                 let cum = self.cum.get().wrapping_add(ind.fitness as u32);
-                if self.scan_hit(cum, self.scan_idx.get()) {
+                if self.scan_hit(cum, self.threshold.get(), self.scan_idx.get()) {
                     comb.sel_hit = true;
                     if !self.sel_phase.get() {
                         self.parent1.set(ind.chrom);
@@ -582,16 +900,9 @@ impl GaCoreHw {
             }
 
             State::XoverDecide => {
-                // One draw carries both fields (§III-B.7 "predefined
-                // positions"; ops::xover_fields documents why).
                 comb.rn_consume = true;
                 self.rng_draws += 1;
-                let (xd, cut) = ops::xover_fields(i.rn);
-                let (o1, o2) = if ops::decision(xd, self.xover_threshold.get()) {
-                    ops::crossover(self.parent1.get(), self.parent2.get(), cut)
-                } else {
-                    (self.parent1.get(), self.parent2.get())
-                };
+                let (o1, o2) = self.crossover_on(i.rn);
                 self.off1.set(o1);
                 self.off2.set(o2);
                 self.off_phase.set(false);
@@ -600,23 +911,17 @@ impl GaCoreHw {
             State::MutDecide => {
                 comb.rn_consume = true;
                 self.rng_draws += 1;
-                let (md, point) = ops::mut_fields(i.rn);
-                if ops::decision(md, self.mut_threshold.get()) {
+                if let Some(o) = self.mutation_on(i.rn) {
                     if self.off_phase.get() {
-                        self.off2.set(ops::mutate(self.off2.get(), point));
+                        self.off2.set(o);
                     } else {
-                        self.off1.set(ops::mutate(self.off1.get(), point));
+                        self.off1.set(o);
                     }
                 }
                 self.state.set(State::OffFitReq);
             }
             State::OffFitReq => {
-                let chrom = if self.off_phase.get() {
-                    self.off2.get()
-                } else {
-                    self.off1.get()
-                };
-                self.cand.set(chrom);
+                self.cand.set(self.offspring());
                 self.fit_request.set(true);
                 self.state.set(State::OffFitWait);
             }
@@ -640,23 +945,17 @@ impl GaCoreHw {
             State::OffUpdate => {
                 let f = self.fit_reg.get();
                 self.new_sum.set(self.new_sum.get().wrapping_add(f as u32));
-                if f > self.new_best_ind().fitness {
-                    self.new_best.set(pack(Individual {
-                        chrom: self.cand.get(),
-                        fitness: f,
-                    }));
+                if let Some(best) = self.new_best_after(f) {
+                    self.new_best.set(best);
                 }
-                let ni = self.idx.get().wrapping_add(1);
+                let (ni, next) = self.after_update();
                 self.idx.set(ni);
-                if ni == pop {
-                    self.state.set(State::GenEnd);
-                } else if !self.off_phase.get() {
-                    self.off_phase.set(true);
-                    self.state.set(State::MutDecide);
-                } else {
-                    self.sel_phase.set(false);
-                    self.state.set(State::SelDraw);
+                match next {
+                    State::MutDecide => self.off_phase.set(true),
+                    State::SelDraw => self.sel_phase.set(false),
+                    _ => {}
                 }
+                self.state.set(next);
             }
             State::GenEnd => {
                 // Swap population banks; publish the generation's best
@@ -1074,6 +1373,97 @@ mod tests {
         // Selection dominates the paper's workload shape even at pop 8.
         assert!(p.selection > p.breeding);
         assert!(p.fitness_wait > 0 && p.init_params > 0);
+    }
+
+    #[test]
+    fn a_scan_unload_stands_where_a_state_leaves_the_register_alone() {
+        // Dropping `test` loads the chain into the registers in the same
+        // cycle the FSM state evaluates. A mutation that does not fire
+        // and an offspring that does not beat the new best write
+        // nothing, so the unloaded value stands.
+        let unload = |state: State, field: &str, value: u64| {
+            let mut core = GaCoreHw::new();
+            core.state.reset_to(state);
+            core.mut_threshold.reset_to(0);
+            let mut bits = core.scan_serialize();
+            let offset: usize = GaCoreHw::SCAN_FIELDS
+                .iter()
+                .take_while(|&&(name, _)| name != field)
+                .map(|&(_, width)| width)
+                .sum();
+            let width = GaCoreHw::SCAN_FIELDS[..]
+                .iter()
+                .find(|&&(name, _)| name == field)
+                .map(|&(_, width)| width)
+                .unwrap_or_default();
+            for b in 0..width {
+                bits[offset + b] = (value >> b) & 1 == 1;
+            }
+            core.scan_chain = bits;
+            core.test_prev.reset_to(true);
+            core.eval(&GaCoreIn::default());
+            core.commit();
+            core
+        };
+        assert_eq!(unload(State::MutDecide, "off1", 0xBEEF).off1.get(), 0xBEEF);
+        let core = unload(State::OffUpdate, "new_best", 0x1234_FFFF);
+        assert_eq!(core.new_best.get(), 0x1234_FFFF);
+    }
+
+    #[test]
+    fn summed_selection_plans_match_the_member_by_member_scan() {
+        // Banks rewritten through the port between plans (so the sums
+        // must be rebuilt), all-zero stretches (the last-member rule),
+        // thresholds past the total, and writes staged into the bank
+        // the plan reads.
+        let mut x = 0x2961_u32;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x
+        };
+        let mut mem = GaMemory::new();
+        let mut sums = BankSums::default();
+        for trial in 0..400 {
+            let mut core = GaCoreHw::new();
+            core.state.reset_to(State::SelDraw);
+            let pop = 1 + (next() % 128) as u8;
+            let base = if next() % 2 == 0 {
+                BANK0_BASE
+            } else {
+                BANK1_BASE
+            };
+            core.pop_size.reset_to(pop);
+            core.cur_base.reset_to(base);
+            for _ in 0..next() % 6 {
+                let fitness = if next() % 3 == 0 { 0 } else { next() as u16 };
+                let word = pack(Individual { chrom: 7, fitness });
+                mem.eval(base + (next() % pop as u32) as u8, word, true);
+                mem.commit();
+            }
+            if next() % 4 == 0 {
+                core.mem_wr.reset_to(true);
+                core.mem_address
+                    .reset_to(base + (next() % pop as u32) as u8);
+                core.mem_data_out.reset_to(next() & 0xFFFF);
+            }
+            let total: u32 = (0..pop)
+                .map(|j| unpack(core.word_seen(&mem, base + j)).fitness as u32)
+                .sum();
+            core.fit_sum
+                .reset_to(if next() % 5 == 0 { next() } else { total });
+            for rn in [0, 1, 0x8000, 0xFFFF, next() as u16] {
+                let fitness = |j: u8| unpack(core.word_seen(&mem, base.wrapping_add(j))).fitness;
+                let want = core.plan_select(rn, fitness);
+                assert!(want.is_some());
+                assert_eq!(
+                    core.plan_selection(rn, &mem, &mut sums),
+                    want,
+                    "trial {trial}, rn {rn:#06x}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -35,6 +35,9 @@ pub fn unpack(word: u32) -> Individual {
 #[derive(Debug, Clone)]
 pub struct GaMemory {
     ram: SpRam,
+    /// Writes so far into each 128-word half (one population bank
+    /// each), so a reader can tell that a bank has not changed.
+    writes: [u64; 2],
 }
 
 impl Default for GaMemory {
@@ -48,6 +51,7 @@ impl GaMemory {
     pub fn new() -> Self {
         GaMemory {
             ram: SpRam::new(256),
+            writes: [0; 2],
         }
     }
 
@@ -55,6 +59,15 @@ impl GaMemory {
     /// registered memory outputs.
     pub fn eval(&mut self, addr: u8, data: u32, wr: bool) {
         self.ram.eval(addr, data, wr);
+        if wr {
+            self.writes[(addr >> 7) as usize] += 1;
+        }
+    }
+
+    /// Writes so far into the 128-word half that holds `addr`.
+    #[inline]
+    pub(crate) fn writes_into_half(&self, addr: u8) -> u64 {
+        self.writes[(addr >> 7) as usize]
     }
 
     /// Registered read data (valid one cycle after the address cycle).

@@ -63,6 +63,14 @@ impl RngModule {
         self.state.get()
     }
 
+    /// One cycle with the consume wire high and no seed load, taken at
+    /// once: returns the `rn` the core used and steps the state.
+    pub(crate) fn consume(&mut self) -> u16 {
+        let rn = self.rn();
+        self.state.reset_to((self.step_fn)(rn));
+        rn
+    }
+
     /// Evaluation phase: a seed load takes priority over a consume step.
     pub fn eval(&mut self, consume: bool, seed_load: Option<u16>) {
         if let Some(seed) = seed_load {

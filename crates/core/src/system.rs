@@ -15,8 +15,8 @@ use hwsim::vcd::VcdVar;
 use hwsim::{Clocked, HandshakeMonitor, Sim, SimError, VcdWriter};
 
 use crate::behavioral::{GenStats, Individual};
-use crate::hwcore::GaCoreHw;
-use crate::memory::{unpack, GaMemory};
+use crate::hwcore::{BankSums, GaCoreHw, Leg};
+use crate::memory::GaMemory;
 use crate::params::GaParams;
 use crate::ports::GaCoreIn;
 use crate::rngmod::RngModule;
@@ -111,6 +111,8 @@ pub struct GaSystem {
     history: Vec<GenStats>,
     vcd: Option<VcdCapture>,
     monitor: Option<HandshakeMonitor>,
+    /// The current bank's running sums for the pair skip's selections.
+    sums: BankSums,
 }
 
 /// Waveform capture of the Table II interface (the ModelSim view).
@@ -145,6 +147,7 @@ impl GaSystem {
             history: Vec::new(),
             vcd: None,
             monitor: None,
+            sums: BankSums::default(),
         }
     }
 
@@ -212,6 +215,13 @@ impl GaSystem {
     /// Elapsed cycles since construction.
     pub fn cycles(&self) -> u64 {
         self.sim.cycles()
+    }
+
+    /// The cycles among [`GaSystem::cycles`] stepped one by one; the
+    /// rest were taken in bulk by the scan and pair skip (DESIGN.md,
+    /// "Scan and pair skip").
+    pub fn stepped_cycles(&self) -> u64 {
+        self.sim.stepped_cycles()
     }
 
     /// One clock cycle of the whole system.
@@ -315,32 +325,97 @@ impl GaSystem {
         }
     }
 
-    /// Take a whole selection scan in one host step (DESIGN.md, "scan
-    /// skip"): at the scan's first cycle, find the hit member *k* in
-    /// the current bank and leave every module as the 3(*k*+1)
-    /// per-cycle `SelScan*` steps would. Only when nothing observes the
-    /// individual cycles (no VCD, protocol monitor or external FEM), the
-    /// FEM bank is idle, and the scan fits the `budget` cycles left
-    /// before the watchdog. Returns whether it was taken.
+    /// True when something samples every cycle: a VCD, a protocol
+    /// monitor or an external FEM. Then the run steps every cycle.
+    fn watched(&self) -> bool {
+        self.vcd.is_some() || self.monitor.is_some() || self.modules.ext_fem.is_some()
+    }
+
+    /// Take the breeding pair in progress in one host step (DESIGN.md,
+    /// "Scan and pair skip"): leg by leg ([`Leg`]) up to the next
+    /// `SelDraw` of parent 1 or `GenEnd`, leaving every module as the
+    /// per-cycle `Sel*`/`Off*` states would. Only when nothing is
+    /// [watched](GaSystem::watched), and only legs that fit the `budget`
+    /// cycles left before the watchdog, so a run may stop between two
+    /// legs and go on with `step()`. Returns whether it took any cycle.
+    fn skip_pair(&mut self, budget: u64) -> bool {
+        if self.watched() {
+            return false;
+        }
+        let mut left = budget;
+        while left > 0 {
+            let Some(cycles) = self.skip_leg(left) else {
+                break;
+            };
+            left -= cycles;
+            if self.modules.core.at_pair_start() {
+                break;
+            }
+        }
+        left < budget
+    }
+
+    /// The scan skip alone: [`GaSystem::skip_pair`]'s selection leg,
+    /// taken only from the scan's first cycle.
+    #[cfg(test)]
     fn skip_scan(&mut self, budget: u64) -> bool {
+        !self.watched()
+            && self.modules.core.plan_scan(|_| 0).is_some()
+            && self.skip_leg(budget).is_some()
+    }
+
+    /// Take the core's next [`Leg`] if it fits `budget` (a fitness wait
+    /// up to the budget), counting its cycles on the clock. The core,
+    /// the memory and the RNG are fast-forwarded; the FEM bank is still
+    /// clocked, fed the request and candidate of each cycle, so its
+    /// latency comes from the bank itself. Returns the cycles taken.
+    fn skip_leg(&mut self, budget: u64) -> Option<u64> {
+        let (select, ratio) = (self.fitfunc_select, self.fast_domain_ratio.max(1));
         let m = &mut self.modules;
-        if self.vcd.is_some() || self.monitor.is_some() || m.ext_fem.is_some() {
-            return false;
-        }
-        let base = m.core.current_bank_base();
-        let mem = &m.mem;
-        let Some(skip) = m
-            .core
-            .plan_scan(|j| unpack(mem.word(base.wrapping_add(j))).fitness)
-        else {
-            return false;
+        let leg = m.core.leg()?;
+        let out = m.core.out();
+        let cycles = match leg {
+            Leg::Select => {
+                let skip = m.core.plan_selection(m.rng.rn(), &m.mem, &mut self.sums)?;
+                if skip.cycles() > budget {
+                    return None;
+                }
+                m.core.skip_scan(skip, &mut m.mem, &mut m.rng);
+                skip.cycles()
+            }
+            Leg::Breed(cycles) if cycles <= budget => {
+                m.core.skip_breed(&mut m.rng, &mut m.mem);
+                cycles
+            }
+            Leg::Store if Leg::STORE_CYCLES <= budget => {
+                m.core.skip_store(&mut m.mem);
+                Leg::STORE_CYCLES
+            }
+            Leg::Wait => {
+                let mut cycles = 0;
+                let mut answer = None;
+                while answer.is_none() && cycles < budget.min(WAIT_SLICE) {
+                    let fem = m.fems.out(select, 0, false);
+                    clock_fems(&mut m.fems, out.fit_request, out.candidate, select, ratio);
+                    cycles += 1;
+                    answer = fem.fit_valid.then_some(fem.fit_value);
+                }
+                m.core.skip_wait(cycles, answer, &mut m.mem);
+                self.sim.advance(cycles);
+                return Some(cycles);
+            }
+            _ => return None,
         };
-        if skip.cycles() > budget || !m.fems.is_idle() {
-            return false;
+        // Outside the wait the request is low, under which an idle bank
+        // stays as it is: clock it only while it drains.
+        for _ in 0..cycles {
+            if m.fems.is_idle() {
+                break;
+            }
+            clock_fems(&mut m.fems, out.fit_request, out.candidate, select, ratio);
         }
-        m.core.skip_scan(skip, &mut m.mem);
-        self.sim.advance(skip.cycles());
-        true
+        self.sim.advance(cycles);
+        Some(cycles)
     }
 
     /// Program the parameter registers through the initialization
@@ -442,7 +517,7 @@ impl GaSystem {
                     guard = self.sim.cycles() - start;
                     continue;
                 }
-            } else if self.skip_scan(max_cycles - guard) {
+            } else if self.skip_pair(max_cycles - guard) {
                 guard = self.sim.cycles() - start;
                 continue;
             }
@@ -539,9 +614,32 @@ impl GaSystem {
     }
 }
 
+/// A fitness wait that has not ended after this many cycles hands
+/// control back to the run loop (which checks the deadline) and goes on
+/// in the next skip: an External slot selected with no external module
+/// attached never answers.
+const WAIT_SLICE: u64 = 1 << 12;
+
+/// One GA cycle of the FEM bank alone, as [`GaSystem::step`] clocks it
+/// with no external module: `ratio` fast edges, each seeing the core's
+/// registered request and candidate.
+fn clock_fems(fems: &mut FemBank, fit_request: bool, candidate: u16, select: u8, ratio: u32) {
+    for _ in 0..ratio {
+        fems.eval(FemBankIn {
+            fit_request,
+            candidate,
+            select,
+            ext_value: 0,
+            ext_valid: false,
+        });
+        fems.commit();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::unpack;
     use ga_fitness::fem::FemOut;
     use ga_fitness::{CordicFem, FemBank, FemSlot, LookupFem, TestFunction};
     use proptest::prelude::*;
@@ -553,7 +651,7 @@ mod tests {
     }
 
     /// The per-cycle reference: `step()` from `start_GA` to `GA_done`
-    /// under `run`'s watchdog rule, never taking the scan skip.
+    /// under `run`'s watchdog rule, never taking the scan or pair skip.
     fn stepped_run(sys: &mut GaSystem, max_cycles: u64) -> Result<HwRun, SimError> {
         sys.history.clear();
         let start = sys.sim.cycles();
@@ -573,27 +671,30 @@ mod tests {
 
     /// Everything a run leaves behind: every core register (outputs,
     /// `profile()` and `rng_draws()` included), both memory banks with
-    /// the read register, the RNG output, the bank's answer and the
-    /// clock.
-    fn end_state(sys: &GaSystem) -> (String, String, u16, FemOut, u64) {
+    /// the read register, the RNG module, the FEM bank's slots and
+    /// registers, the bank's answer and the clock.
+    fn end_state(sys: &GaSystem) -> (String, String, String, String, FemOut, u64) {
         let m = &sys.modules;
         (
             format!("{:?}", m.core),
             format!("{:?}", m.mem),
-            m.rng.rn(),
+            format!("{:?}", m.rng),
+            format!("{:?}", m.fems),
             m.fems.out(sys.fitfunc_select, 0, false),
             sys.cycles(),
         )
     }
 
-    /// `run` (scan skip allowed) and the per-cycle reference, each on a
-    /// freshly built and programmed system, must agree on the result and
-    /// on every piece of state they leave.
-    fn assert_skip_exact(make: impl Fn() -> GaSystem, params: &GaParams, max_cycles: u64) {
+    /// `run` (scan and pair skip allowed) and the per-cycle reference,
+    /// each on a freshly built and programmed system, must agree on the
+    /// result and on every piece of state they leave. Returns the cycles
+    /// `run` stepped one by one.
+    fn assert_skip_exact(make: impl Fn() -> GaSystem, params: &GaParams, max_cycles: u64) -> u64 {
         let mut fast = make();
         let mut slow = make();
         fast.program(params);
         slow.program(params);
+        let before = fast.stepped_cycles();
         let got = fast.run(max_cycles);
         let want = stepped_run(&mut slow, max_cycles);
         assert_eq!(got, want, "{params:?}, max_cycles {max_cycles}");
@@ -603,6 +704,7 @@ mod tests {
             end_state(&slow),
             "{params:?}, max_cycles {max_cycles}"
         );
+        fast.stepped_cycles() - before
     }
 
     /// Program `sys` and step it to the first cycle of its first
@@ -722,6 +824,127 @@ mod tests {
         assert_eq!(fast.finish_vcd(), slow.finish_vcd());
     }
 
+    /// Program `sys` and step it to the first cycle of its first
+    /// breeding pair.
+    fn step_to_pair_start(sys: &mut GaSystem, params: &GaParams) {
+        sys.program(params);
+        sys.step(UserIn {
+            start_ga: true,
+            ..Default::default()
+        });
+        while !sys.modules.core.at_pair_start() {
+            sys.step(UserIn::default());
+        }
+    }
+
+    #[test]
+    fn pair_skip_is_taken_only_when_nothing_watches_and_it_fits() {
+        let params = GaParams::new(32, 2, 10, 1, 0x2961);
+        let make = || {
+            let mut sys = system_for(TestFunction::F3);
+            step_to_pair_start(&mut sys, &params);
+            sys
+        };
+        // The per-cycle reference: the pair's length, and the state at
+        // every cycle of it.
+        let mut slow = make();
+        let mut states = vec![end_state(&slow)];
+        slow.step(UserIn::default());
+        states.push(end_state(&slow));
+        while !slow.modules.core.at_pair_start() {
+            slow.step(UserIn::default());
+            states.push(end_state(&slow));
+        }
+        let pair = states.len() as u64 - 1;
+        assert!(pair >= 25, "a two-offspring pair takes at least 25 cycles");
+
+        let mut sys = make();
+        sys.enable_protocol_monitor();
+        assert!(!sys.skip_pair(u64::MAX), "a monitor sees every cycle");
+        sys.monitor = None;
+        sys.start_vcd();
+        assert!(!sys.skip_pair(u64::MAX), "a waveform samples every cycle");
+        sys.vcd = None;
+        assert!(!sys.skip_pair(0), "nothing fits no budget");
+        let start = sys.cycles();
+        assert!(sys.skip_pair(u64::MAX));
+        assert_eq!(sys.cycles() - start, pair, "the whole pair, then stop");
+        assert_eq!(sys.stepped_cycles(), slow.stepped_cycles() - pair);
+        assert_eq!(end_state(&sys), states[pair as usize]);
+
+        // A budget short of the pair takes the legs that fit and stops
+        // on the cycle stepping would have reached.
+        for budget in [1, 5, pair / 2, pair - 1] {
+            let mut sys = make();
+            let start = sys.cycles();
+            sys.skip_pair(budget);
+            let taken = sys.cycles() - start;
+            assert!(taken <= budget, "budget {budget}: took {taken}");
+            assert_eq!(end_state(&sys), states[taken as usize], "budget {budget}");
+        }
+
+        let mut ext = system_for(TestFunction::F3)
+            .with_external_fem(Box::new(LookupFem::for_function(TestFunction::F3)));
+        step_to_pair_start(&mut ext, &params);
+        assert!(!ext.skip_pair(u64::MAX), "an external FEM stays per-cycle");
+    }
+
+    #[test]
+    fn pair_skip_steps_only_the_cycles_outside_the_pairs() {
+        // Per run: start_GA and Start, seven per initial member
+        // (InitPopDraw, FitReq, three FitWait, Store, Update), the first
+        // GenCheck, and ElitWrite, GenEnd and GenCheck per generation.
+        for (pop, gens) in [(2, 3), (7, 2), (32, 16), (128, 2)] {
+            let params = GaParams::new(pop, gens, 10, 1, 0x2961);
+            let stepped = assert_skip_exact(|| system_for(TestFunction::F2), &params, u64::MAX);
+            assert_eq!(stepped, 3 + 7 * pop as u64 + 3 * gens as u64, "{params:?}");
+        }
+    }
+
+    #[test]
+    fn pair_skip_matches_stepping_on_the_fixed_grid() {
+        for f in [TestFunction::Bf6, TestFunction::F2] {
+            for pop in [2, 7, 128] {
+                for xt in [0, 15] {
+                    for mt in [0, 15] {
+                        let params = GaParams::new(pop, 3, xt, mt, 0x2961);
+                        assert_skip_exact(|| system_for(f), &params, 100_000_000);
+                    }
+                }
+            }
+        }
+        // The all-zero bank: Empty slots answer 0 after one cycle.
+        for pop in [2, 7, 128] {
+            let params = GaParams::new(pop, 2, 10, 1, 0xB342);
+            assert_skip_exact(|| GaSystem::new(FemBank::new(vec![])), &params, 100_000_000);
+        }
+    }
+
+    #[test]
+    fn pair_skip_matches_stepping_with_cordic_and_a_fast_fem_clock() {
+        // CORDIC waits run tens to hundreds of cycles; the bounds stop
+        // runs inside the first generation's fitness waits too.
+        let params = GaParams::new(7, 2, 12, 3, 0x061F);
+        for f in [TestFunction::Bf6, TestFunction::MShubert2D] {
+            for ratio in [1, 4] {
+                let make = || {
+                    let mut sys =
+                        GaSystem::new(FemBank::new(vec![FemSlot::Cordic(CordicFem::new(f))]));
+                    sys.fast_domain_ratio = ratio;
+                    sys
+                };
+                let total = {
+                    let mut probe = make();
+                    probe.program_and_run(&params, u64::MAX).unwrap().cycles
+                };
+                let bounds = (0..40).map(|i| total / 2 + i * 7).chain([total, u64::MAX]);
+                for bound in bounds {
+                    assert_skip_exact(make, &params, bound);
+                }
+            }
+        }
+    }
+
     #[test]
     fn a_zeroed_pop_size_does_not_panic_in_a_debug_build() {
         // Force0 on chain position 19 (`pop_size` bit 3) turns pop 8 into
@@ -742,6 +965,32 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn pair_skip_matches_stepping_on_random_parameters(
+            pop in 2u8..=128,
+            n_gens in 1u32..=3,
+            xt in 0u8..=15,
+            mt in 0u8..=15,
+            seed in 1u16..=u16::MAX,
+            func in 0usize..6,
+            cordic in any::<bool>(),
+            ratio in 1u32..=4,
+        ) {
+            let f = TestFunction::ALL[func];
+            let params = GaParams::new(pop, n_gens, xt, mt, seed);
+            let make = || {
+                let slot = if cordic {
+                    FemSlot::Cordic(CordicFem::new(f))
+                } else {
+                    FemSlot::Lookup(LookupFem::for_function(f))
+                };
+                let mut sys = GaSystem::new(FemBank::new(vec![slot]));
+                sys.fast_domain_ratio = ratio;
+                sys
+            };
+            assert_skip_exact(make, &params, 100_000_000);
+        }
 
         #[test]
         fn scan_skip_matches_stepping_on_random_parameters(

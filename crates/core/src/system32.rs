@@ -30,6 +30,7 @@
 use hwsim::{Clocked, Reg, Sim, SimError};
 
 use crate::behavioral::GenStats;
+use crate::hwcore::{BankSums, Leg};
 use crate::memory::{pack, unpack, GaMemory};
 use crate::params::GaParams;
 use crate::ports::GaCoreIn;
@@ -103,6 +104,8 @@ pub struct GaSystem32<F: FnMut(u32) -> u16> {
     sim: Sim,
     history: Vec<GenStats>,
     pop_size: u8,
+    /// Core 1's current bank's running sums for its selections.
+    sums1: BankSums,
 }
 
 impl<F: FnMut(u32) -> u16> GaSystem32<F> {
@@ -119,6 +122,7 @@ impl<F: FnMut(u32) -> u16> GaSystem32<F> {
             sim: Sim::new_50mhz(),
             history: Vec::new(),
             pop_size: GaParams::default().pop_size,
+            sums1: BankSums::default(),
         };
         s.core1.reset();
         s.core2.reset();
@@ -236,38 +240,114 @@ impl<F: FnMut(u32) -> u16> GaSystem32<F> {
         self.sim.step(&mut nop, |_| {});
     }
 
-    /// The joint scan skip (DESIGN.md, "scan skip"): both cores at
-    /// their scan's first cycle in the same cycle take the whole scan
-    /// in one host step. Core 1 finds the hit member *k* in its memory.
-    /// Core 2 reads what `scalingLogic_parSel` feeds it, fitness 0 until
-    /// core 1's hit and full scale on it, so with its forced zero
-    /// threshold it ends at the same *k* with `cum == 0`; if its plan
-    /// ends anywhere else, the cores step cycle by cycle instead. Only
-    /// with the shared FEM idle and the 3(*k*+1) cycles within the
-    /// `budget` left before the watchdog. Returns whether it was taken.
+    /// Cycles among [`GaSystem32::cycles`] stepped one by one; the rest
+    /// were taken in bulk by the joint scan and pair skip.
+    pub fn stepped_cycles(&self) -> u64 {
+        self.sim.stepped_cycles()
+    }
+
+    /// The joint pair skip (DESIGN.md, "Scan and pair skip"): both cores
+    /// take the breeding pair in progress leg by leg, in one host step,
+    /// up to the next `SelDraw` of parent 1 or `GenEnd`. Only legs that
+    /// fit the `budget` cycles left before the watchdog. Returns whether
+    /// it took any cycle.
+    fn skip_pair(&mut self, budget: u64) -> bool {
+        let mut left = budget;
+        while left > 0 {
+            let Some(cycles) = self.skip_leg(left) else {
+                break;
+            };
+            left -= cycles;
+            if self.core1.at_pair_start() {
+                break;
+            }
+        }
+        left < budget
+    }
+
+    /// The joint scan skip alone: [`GaSystem32::skip_pair`]'s selection
+    /// leg, taken only from the scan's first cycle.
+    #[cfg(test)]
     fn skip_scan(&mut self, budget: u64) -> bool {
-        if self.fem.state.get() != 0 {
-            return false;
+        self.core1.plan_scan(|_| 0).is_some() && self.skip_leg(budget).is_some()
+    }
+
+    /// Take the next [`Leg`] on both cores if they are at the same one
+    /// and it fits `budget` (a fitness wait up to the budget), counting
+    /// its cycles on the clock; otherwise both step. The shared FEM is
+    /// still clocked, fed the joined request and candidate.
+    ///
+    /// In a selection core 1 finds the hit member *k* in its memory.
+    /// Core 2 sees what `scalingLogic_parSel` feeds it: a zero threshold
+    /// draw, then fitness 0 until core 1's hit and full scale on it, so
+    /// it ends at the same *k* with `cum == 0`; if its plan ends
+    /// anywhere else, the cores step. Returns the cycles taken.
+    fn skip_leg(&mut self, budget: u64) -> Option<u64> {
+        let leg = self.core1.leg()?;
+        if self.core2.leg() != Some(leg) {
+            return None;
         }
-        let base1 = self.core1.current_bank_base();
-        let mem1 = &self.mem1;
-        let Some(skip1) = self
-            .core1
-            .plan_scan(|j| unpack(mem1.word(base1.wrapping_add(j))).fitness)
-        else {
-            return false;
+        let (o1, o2) = (self.core1.out(), self.core2.out());
+        let request = o1.fit_request && o2.fit_request;
+        let cand32 = ((o1.candidate as u32) << 16) | o2.candidate as u32;
+        let cycles = match leg {
+            Leg::Select => {
+                let skip1 =
+                    self.core1
+                        .plan_selection(self.rng1.rn(), &self.mem1, &mut self.sums1)?;
+                let forced = |j: u8| if j == skip1.member { 0xFFFF } else { 0 };
+                let skip2 = self
+                    .core2
+                    .plan_select(0, forced)
+                    .or_else(|| self.core2.plan_scan(forced))?;
+                if skip2.member != skip1.member
+                    || skip2.cycles() != skip1.cycles()
+                    || skip1.cycles() > budget
+                {
+                    return None;
+                }
+                self.core1.skip_scan(skip1, &mut self.mem1, &mut self.rng1);
+                self.core2.skip_scan(skip2, &mut self.mem2, &mut self.rng2);
+                skip1.cycles()
+            }
+            Leg::Breed(cycles) if cycles <= budget => {
+                self.core1.skip_breed(&mut self.rng1, &mut self.mem1);
+                self.core2.skip_breed(&mut self.rng2, &mut self.mem2);
+                cycles
+            }
+            Leg::Store if Leg::STORE_CYCLES <= budget => {
+                self.core1.skip_store(&mut self.mem1);
+                self.core2.skip_store(&mut self.mem2);
+                Leg::STORE_CYCLES
+            }
+            Leg::Wait => {
+                let mut cycles = 0;
+                let mut answer = None;
+                while answer.is_none() && cycles < budget {
+                    let (valid, value) = (self.fem.valid.get(), self.fem.value.get());
+                    self.fem.eval(request, cand32);
+                    self.fem.commit();
+                    cycles += 1;
+                    answer = valid.then_some(value);
+                }
+                self.core1.skip_wait(cycles, answer, &mut self.mem1);
+                self.core2.skip_wait(cycles, answer, &mut self.mem2);
+                self.sim.advance(cycles);
+                return Some(cycles);
+            }
+            _ => return None,
         };
-        let forced = |j: u8| if j == skip1.member { 0xFFFF } else { 0 };
-        let Some(skip2) = self.core2.plan_scan(forced) else {
-            return false;
-        };
-        if skip2.member != skip1.member || skip1.cycles() > budget {
-            return false;
+        // Outside the wait the request is low, under which an idle FEM
+        // stays as it is: clock it only while it drains.
+        for _ in 0..cycles {
+            if self.fem.state.get() == 0 {
+                break;
+            }
+            self.fem.eval(request, cand32);
+            self.fem.commit();
         }
-        self.core1.skip_scan(skip1, &mut self.mem1);
-        self.core2.skip_scan(skip2, &mut self.mem2);
-        self.sim.advance(skip1.cycles());
-        true
+        self.sim.advance(cycles);
+        Some(cycles)
     }
 
     /// Program both cores with the same parameters (the user programs
@@ -336,7 +416,7 @@ impl<F: FnMut(u32) -> u16> GaSystem32<F> {
                     return Err(SimError::DeadlineExceeded { cycles: guard });
                 }
             }
-            if !self.skip_scan(max_cycles - guard) {
+            if !self.skip_pair(max_cycles - guard) {
                 self.step(UserIn::default());
             }
         }
@@ -417,7 +497,7 @@ mod tests {
 
     /// The per-cycle reference: `step()` from `start_GA` until both
     /// cores raise `GA_done`, under `run`'s watchdog rule, never taking
-    /// the joint scan skip.
+    /// the joint scan or pair skip.
     fn stepped_run<F: FnMut(u32) -> u16>(
         sys: &mut GaSystem32<F>,
         max_cycles: u64,
@@ -440,29 +520,29 @@ mod tests {
 
     /// Everything a run leaves behind: both cores' registers (outputs,
     /// `profile()` and `rng_draws()` included), both memories with their
-    /// read registers, both RNG outputs, the shared FEM and the clock.
-    fn end_state<F: FnMut(u32) -> u16>(sys: &GaSystem32<F>) -> (String, String, [u64; 6]) {
+    /// read registers, both RNG modules, the shared FEM's registers and
+    /// the clock.
+    fn end_state<F: FnMut(u32) -> u16>(sys: &GaSystem32<F>) -> (String, String, String, u64) {
         (
             format!("{:?} {:?}", sys.core1, sys.core2),
             format!("{:?} {:?}", sys.mem1, sys.mem2),
-            [
-                sys.rng1.rn().into(),
-                sys.rng2.rn().into(),
-                sys.fem.state.get().into(),
-                sys.fem.value.get().into(),
-                sys.fem.valid.get().into(),
-                sys.cycles(),
-            ],
+            format!(
+                "{:?} {:?} {:?} {:?} {:?}",
+                sys.rng1, sys.rng2, sys.fem.state, sys.fem.value, sys.fem.valid
+            ),
+            sys.cycles(),
         )
     }
 
-    /// `run` (joint scan skip allowed) and the per-cycle reference must
-    /// agree on the result and on every piece of state they leave.
-    fn assert_skip_exact(f: impl Fn(u32) -> u16 + Copy, params: &GaParams, max_cycles: u64) {
+    /// `run` (joint scan and pair skip allowed) and the per-cycle
+    /// reference must agree on the result and on every piece of state
+    /// they leave. Returns the cycles `run` stepped one by one.
+    fn assert_skip_exact(f: impl Fn(u32) -> u16 + Copy, params: &GaParams, max_cycles: u64) -> u64 {
         let mut fast = GaSystem32::new(f);
         let mut slow = GaSystem32::new(f);
         fast.program(params);
         slow.program(params);
+        let before = fast.stepped_cycles();
         let got = fast.run(max_cycles);
         let want = stepped_run(&mut slow, max_cycles);
         assert_eq!(got, want, "{params:?}, max_cycles {max_cycles}");
@@ -474,6 +554,72 @@ mod tests {
             end_state(&slow),
             "{params:?}, max_cycles {max_cycles}"
         );
+        fast.stepped_cycles() - before
+    }
+
+    #[test]
+    fn joint_pair_skip_is_taken_and_stops_within_its_budget() {
+        let params = GaParams::new(32, 2, 10, 1, 0x2961);
+        let make = || {
+            let mut sys = GaSystem32::new(sum_halves);
+            sys.program(&params);
+            sys.step(UserIn {
+                start_ga: true,
+                ..Default::default()
+            });
+            while !sys.core1.at_pair_start() {
+                sys.step(UserIn::default());
+            }
+            assert!(sys.core2.at_pair_start(), "cores in lockstep");
+            sys
+        };
+        let mut slow = make();
+        let mut states = vec![end_state(&slow)];
+        slow.step(UserIn::default());
+        states.push(end_state(&slow));
+        while !slow.core1.at_pair_start() {
+            slow.step(UserIn::default());
+            states.push(end_state(&slow));
+        }
+        let pair = states.len() as u64 - 1;
+        let mut sys = make();
+        assert!(!sys.skip_pair(0));
+        assert!(sys.skip_pair(u64::MAX));
+        assert_eq!(
+            end_state(&sys),
+            states[pair as usize],
+            "the whole pair, then stop"
+        );
+        for budget in [1, 5, pair / 2, pair - 1] {
+            let mut sys = make();
+            let start = sys.cycles();
+            sys.skip_pair(budget);
+            let taken = sys.cycles() - start;
+            assert!(taken <= budget, "budget {budget}: took {taken}");
+            assert_eq!(end_state(&sys), states[taken as usize], "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn joint_pair_skip_steps_only_the_cycles_outside_the_pairs() {
+        for (pop, gens) in [(2, 3), (7, 2), (32, 16)] {
+            let params = GaParams::new(pop, gens, 10, 1, 0x2961);
+            let stepped = assert_skip_exact(sum_halves, &params, u64::MAX);
+            assert_eq!(stepped, 3 + 7 * pop as u64 + 3 * gens as u64, "{params:?}");
+        }
+    }
+
+    #[test]
+    fn joint_pair_skip_matches_stepping_on_the_fixed_grid() {
+        let f2 = |c: u32| TestFunction::F2.eval_u32_split(c);
+        for pop in [2, 7, 128] {
+            for xt in [0, 15] {
+                for mt in [0, 15] {
+                    assert_skip_exact(f2, &GaParams::new(pop, 3, xt, mt, 0x2961), 100_000_000);
+                }
+            }
+            assert_skip_exact(|_| 0, &GaParams::new(pop, 2, 10, 1, 0xB342), 100_000_000);
+        }
     }
 
     #[test]
@@ -527,6 +673,27 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn joint_pair_skip_matches_stepping_on_random_parameters(
+            pop in 2u8..=128,
+            n_gens in 1u32..=3,
+            xt in 0u8..=15,
+            mt in 0u8..=15,
+            seed in 1u16..=u16::MAX,
+            func in 0usize..6,
+            percent in 50u64..=100,
+        ) {
+            // A watchdog bound late in the run stops it inside a pair.
+            let f = move |c| TestFunction::ALL[func].eval_u32_split(c);
+            let params = GaParams::new(pop, n_gens, xt, mt, seed);
+            let mut probe = GaSystem32::new(f);
+            probe.program(&params);
+            let start = probe.cycles();
+            probe.run(u64::MAX).unwrap();
+            let bound = (probe.cycles() - start) * percent / 100;
+            assert_skip_exact(f, &params, bound);
+        }
 
         #[test]
         fn joint_scan_skip_matches_stepping_on_random_parameters(

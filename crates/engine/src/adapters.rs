@@ -129,16 +129,31 @@ impl Engine for RtlInterpEngine {
     }
 
     fn run(&self, prepared: &Prepared, limits: &Limits) -> Result<RunOutcome, EngineError> {
+        self.run_counting_steps(prepared, limits)
+            .map(|(outcome, _)| outcome)
+    }
+}
+
+impl RtlInterpEngine {
+    /// [`Engine::run`], also returning how many of the run's cycles the
+    /// system stepped one by one; it took the rest in bulk, exactly
+    /// (`ga_core::GaSystem::stepped_cycles`).
+    pub fn run_counting_steps(
+        &self,
+        prepared: &Prepared,
+        limits: &Limits,
+    ) -> Result<(RunOutcome, u64), EngineError> {
         let spec = prepared.spec();
         let mut sys = GaSystem::new(FemBank::new(vec![FemSlot::Lookup(lookup_fem(
             spec.workload,
         ))]));
         sys.program(&spec.params);
+        let stepped_before = sys.stepped_cycles();
         let mut deadline = spec.deadline_ms.map(Deadline::after_ms);
         let run = sys
             .run_with_deadline(limits.sim_watchdog_cycles, deadline.as_mut())
             .map_err(map_sim_error)?;
-        Ok(RunOutcome {
+        let outcome = RunOutcome {
             best_chrom: run.best.chrom as u32,
             best_fitness: run.best.fitness,
             generations: spec.params.n_gens,
@@ -147,7 +162,8 @@ impl Engine for RtlInterpEngine {
             cycles: Some(run.cycles),
             rng_draws: Some(run.rng_draws),
             trajectory: run.history,
-        })
+        };
+        Ok((outcome, sys.stepped_cycles() - stepped_before))
     }
 }
 

@@ -431,15 +431,66 @@ pub struct FemBankIn {
     pub ext_valid: bool,
 }
 
+impl FemSlot {
+    /// True when the slot has no transaction in flight. External and
+    /// empty slots hold no state of their own (the bank does).
+    fn is_idle(&self) -> bool {
+        match self {
+            FemSlot::Lookup(f) => f.state.get() == LookupState::Idle,
+            FemSlot::Cordic(f) => f.state.get() == CordicState::Idle,
+            FemSlot::External | FemSlot::Empty => true,
+        }
+    }
+
+    fn eval(&mut self, i: FemIn) {
+        match self {
+            FemSlot::Lookup(f) => f.eval(i),
+            FemSlot::Cordic(f) => f.eval(i),
+            FemSlot::External | FemSlot::Empty => {}
+        }
+    }
+
+    fn commit(&mut self) {
+        match self {
+            FemSlot::Lookup(f) => f.commit(),
+            FemSlot::Cordic(f) => f.commit(),
+            FemSlot::External | FemSlot::Empty => {}
+        }
+    }
+
+    fn reset(&mut self) {
+        match self {
+            FemSlot::Lookup(f) => f.reset(),
+            FemSlot::Cordic(f) => f.reset(),
+            FemSlot::External | FemSlot::Empty => {}
+        }
+    }
+}
+
 /// The multiplexed bank of up to eight fitness modules.
 #[derive(Debug, Clone)]
 pub struct FemBank {
     slots: Vec<FemSlot>,
+    /// Slots not idle after the last commit, one bit per slot.
+    busy: u8,
+    /// Slots evaluated since the last commit, one bit per slot.
+    evaluated: u8,
     /// Registered request forwarded to the external FEM when an
     /// External slot is selected.
     ext_request: Reg<bool>,
     /// Registered outputs for the Empty-slot fallback path.
     empty_valid: Reg<bool>,
+}
+
+/// The slot indices set in `mask`, lowest first.
+fn slots_in(mut mask: u8) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let idx = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            idx
+        })
+    })
 }
 
 impl FemBank {
@@ -452,8 +503,13 @@ impl FemBank {
         while slots.len() < 8 {
             slots.push(FemSlot::Empty);
         }
+        let busy = (0..8)
+            .filter(|&idx| !slots[idx].is_idle())
+            .fold(0, |m, idx| m | 1 << idx);
         FemBank {
             slots,
+            busy,
+            evaluated: 0,
             ext_request: Reg::default(),
             empty_valid: Reg::default(),
         }
@@ -464,32 +520,38 @@ impl FemBank {
         self.ext_request.get()
     }
 
-    /// Evaluation phase.
+    /// Evaluation phase. Non-selected internal slots see a deasserted
+    /// request so they drain any in-flight handshake and go idle; an
+    /// idle slot under a low request stays exactly as it is, so only
+    /// the selected slot and the busy ones are evaluated.
     pub fn eval(&mut self, i: FemBankIn) {
         let sel = (i.select & 0x7) as usize;
-        let inner = FemIn {
-            fit_request: i.fit_request,
-            candidate: i.candidate,
-        };
-        // Non-selected internal slots see a deasserted request so they
-        // drain any in-flight handshake and go idle.
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
-            let active = idx == sel;
-            let slot_in = if active {
-                inner
-            } else {
-                FemIn {
-                    fit_request: false,
-                    candidate: 0,
-                }
-            };
-            match slot {
-                FemSlot::Lookup(f) => f.eval(slot_in),
-                FemSlot::Cordic(f) => f.eval(slot_in),
-                FemSlot::External | FemSlot::Empty => {}
+        let live = self.busy | 1 << sel;
+        self.evaluated |= live;
+        for idx in slots_in(live) {
+            self.slots[idx].eval(Self::slot_in(i, idx == sel));
+        }
+        self.route(i, sel);
+    }
+
+    /// What slot sees: the bank's request and candidate when selected,
+    /// a deasserted request otherwise.
+    fn slot_in(i: FemBankIn, selected: bool) -> FemIn {
+        if selected {
+            FemIn {
+                fit_request: i.fit_request,
+                candidate: i.candidate,
+            }
+        } else {
+            FemIn {
+                fit_request: false,
+                candidate: 0,
             }
         }
-        // External routing and the empty-slot fallback.
+    }
+
+    /// External routing and the empty-slot fallback.
+    fn route(&mut self, i: FemBankIn, sel: usize) {
         match &self.slots[sel] {
             FemSlot::External => {
                 self.ext_request.set(i.fit_request);
@@ -511,13 +573,7 @@ impl FemBank {
     /// the empty-slot strobe is raised. An idle bank evaluated with the
     /// request low stays exactly as it is, whatever the select.
     pub fn is_idle(&self) -> bool {
-        !self.ext_request.get()
-            && !self.empty_valid.get()
-            && self.slots.iter().all(|slot| match slot {
-                FemSlot::Lookup(f) => f.state.get() == LookupState::Idle,
-                FemSlot::Cordic(f) => f.state.get() == CordicState::Idle,
-                FemSlot::External | FemSlot::Empty => true,
-            })
+        self.busy == 0 && !self.ext_request.get() && !self.empty_valid.get()
     }
 
     /// Registered outputs, multiplexed by the current select value.
@@ -541,22 +597,24 @@ impl FemBank {
 impl Clocked for FemBank {
     fn reset(&mut self) {
         for slot in &mut self.slots {
-            match slot {
-                FemSlot::Lookup(f) => f.reset(),
-                FemSlot::Cordic(f) => f.reset(),
-                _ => {}
-            }
+            slot.reset();
         }
+        self.busy = 0;
+        self.evaluated = 0;
         self.ext_request.reset_to(false);
         self.empty_valid.reset_to(false);
     }
 
+    /// Latch the slots evaluated since the last commit (the others
+    /// hold) and note which of them are still busy.
     fn commit(&mut self) {
-        for slot in &mut self.slots {
-            match slot {
-                FemSlot::Lookup(f) => f.commit(),
-                FemSlot::Cordic(f) => f.commit(),
-                _ => {}
+        for idx in slots_in(std::mem::take(&mut self.evaluated)) {
+            let slot = &mut self.slots[idx];
+            slot.commit();
+            if slot.is_idle() {
+                self.busy &= !(1 << idx);
+            } else {
+                self.busy |= 1 << idx;
             }
         }
         self.ext_request.commit();
@@ -768,6 +826,104 @@ mod tests {
             }
             assert_eq!(select == 1, drain > 2, "slot {select}: {drain} cycles");
         }
+    }
+
+    /// The bank before the busy mask: every slot evaluated and committed
+    /// on every edge.
+    fn eval_every_slot(bank: &mut FemBank, i: FemBankIn) {
+        let sel = (i.select & 0x7) as usize;
+        for idx in 0..8 {
+            bank.slots[idx].eval(FemBank::slot_in(i, idx == sel));
+        }
+        bank.route(i, sel);
+    }
+
+    fn commit_every_slot(bank: &mut FemBank) {
+        for slot in &mut bank.slots {
+            slot.commit();
+        }
+        bank.ext_request.commit();
+        bank.empty_valid.commit();
+    }
+
+    #[test]
+    fn live_slot_evaluation_matches_every_slot_evaluation() {
+        // Random requests, candidates and selects over lookup, CORDIC,
+        // external and empty slots, with the select switched in the
+        // middle of transactions: the bank that evaluates only the
+        // selected and busy slots stays equal to the all-slot one.
+        let slots = vec![
+            FemSlot::Lookup(LookupFem::for_function(TestFunction::F2)),
+            FemSlot::Cordic(CordicFem::new(TestFunction::Bf6)),
+            FemSlot::External,
+            FemSlot::Lookup(LookupFem::for_function(TestFunction::F3)),
+            FemSlot::Cordic(CordicFem::new(TestFunction::F3)),
+        ];
+        let mut fast = FemBank::new(slots);
+        let mut reference = fast.clone();
+        let mut x = 0x2961_u32;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x
+        };
+        let mut i = FemBankIn::default();
+        for cycle in 0..20_000 {
+            let r = next();
+            // Hold each input for a while so transactions complete, and
+            // switch the select alone now and then.
+            if r % 7 == 0 {
+                i.select = (r >> 8) as u8 % 8;
+            }
+            if r % 11 == 0 {
+                i.fit_request = !i.fit_request;
+                i.candidate = (r >> 16) as u16;
+            }
+            i.ext_valid = r % 5 == 0;
+            i.ext_value = (r >> 4) as u16;
+            fast.eval(i);
+            eval_every_slot(&mut reference, i);
+            fast.commit();
+            commit_every_slot(&mut reference);
+            assert_eq!(
+                format!("{:?}", fast.slots),
+                format!("{:?}", reference.slots),
+                "cycle {cycle}"
+            );
+            assert_eq!(fast.ext_request(), reference.ext_request());
+            let all_idle = reference.slots.iter().all(FemSlot::is_idle)
+                && !reference.ext_request()
+                && !reference.empty_valid.get();
+            assert_eq!(fast.is_idle(), all_idle, "cycle {cycle}");
+            for select in 0..8 {
+                assert_eq!(
+                    fast.out(select, i.ext_value, i.ext_valid),
+                    reference.out(select, i.ext_value, i.ext_valid),
+                    "cycle {cycle}, select {select}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_slot_busy_when_banked_is_still_drained() {
+        let mut cordic = CordicFem::new(TestFunction::Bf6);
+        cordic.eval(FemIn {
+            fit_request: true,
+            candidate: 7,
+        });
+        cordic.commit();
+        let mut bank = FemBank::new(vec![FemSlot::Empty, FemSlot::Cordic(cordic)]);
+        assert!(
+            !bank.is_idle(),
+            "a mid-transaction slot keeps the bank busy"
+        );
+        for _ in 0..100 {
+            bank.eval(FemBankIn::default());
+            bank.commit();
+        }
+        assert!(bank.is_idle(), "the unselected slot drained");
     }
 
     #[test]

@@ -90,10 +90,21 @@ impl SpRam {
 /// memory, Table VI). The contents are an `Arc<[u16]>`, so any number
 /// of ROM instances (one per simulated FEM) can read one image; only
 /// the output register is per instance.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SpRom {
     data: Arc<[u16]>,
     dout: Reg<u16>,
+}
+
+/// The read-only image shows as its length: a tabulated fitness ROM
+/// holds 65 536 words, and only the output register is state.
+impl std::fmt::Debug for SpRom {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SpRom")
+            .field("words", &self.data.len())
+            .field("dout", &self.dout)
+            .finish()
+    }
 }
 
 impl SpRom {

@@ -161,6 +161,8 @@ impl Deadline {
 #[derive(Debug, Clone)]
 pub struct Sim {
     cycle: u64,
+    /// The cycles among `cycle` that [`Sim::step`] ran one by one.
+    stepped: u64,
     /// Clock period in picoseconds, used to convert cycle counts into
     /// wall-clock time for the paper's runtime comparisons. The GA module
     /// in the paper runs at 50 MHz → 20 000 ps.
@@ -179,6 +181,7 @@ impl Sim {
         assert!(period_ps > 0, "clock period must be positive");
         Sim {
             cycle: 0,
+            stepped: 0,
             period_ps,
         }
     }
@@ -194,6 +197,14 @@ impl Sim {
         self.cycle
     }
 
+    /// Cycles among [`Sim::cycles`] that were stepped one by one, not
+    /// counted in bulk by [`Sim::advance`]: the ones that cost host time
+    /// per cycle.
+    #[inline]
+    pub fn stepped_cycles(&self) -> u64 {
+        self.stepped
+    }
+
     /// Clock period in picoseconds.
     #[inline]
     pub fn period_ps(&self) -> u64 {
@@ -205,10 +216,11 @@ impl Sim {
         (self.cycle as f64) * (self.period_ps as f64) * 1e-12
     }
 
-    /// Zero the cycle counter (e.g. after programming, before timing the
-    /// optimization run, like the paper's 32-bit hardware counter).
+    /// Zero the cycle counters (e.g. after programming, before timing
+    /// the optimization run, like the paper's 32-bit hardware counter).
     pub fn reset_cycles(&mut self) {
         self.cycle = 0;
+        self.stepped = 0;
     }
 
     /// Run one full clock cycle: the caller-provided closure performs the
@@ -218,6 +230,7 @@ impl Sim {
         eval(system);
         system.commit();
         self.cycle += 1;
+        self.stepped += 1;
     }
 
     /// Count `cycles` clock cycles whose effect the owner has applied to
@@ -312,6 +325,18 @@ mod tests {
         }
         // 50k cycles at 20 ns = 1 ms.
         assert!((sim.elapsed_seconds() - 1e-3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn advanced_cycles_count_as_cycles_but_not_as_stepped() {
+        let mut sim = Sim::new_50mhz();
+        let mut c = Count::default();
+        sim.step(&mut c, |_| {});
+        sim.advance(41);
+        sim.step(&mut c, |_| {});
+        assert_eq!((sim.cycles(), sim.stepped_cycles()), (43, 2));
+        sim.reset_cycles();
+        assert_eq!((sim.cycles(), sim.stepped_cycles()), (0, 0));
     }
 
     #[test]
